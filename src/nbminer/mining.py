@@ -10,13 +10,16 @@ Candidate extensions at or above it are kept, and a superset is accepted
 once at least ``theta * size`` of its already-accepted subsets propose it
 (at least one). The search is depth-first; a repository of every superset
 ever proposed makes the subset counting exact and deduplicates output
-across branches.
+across branches. Within one run, a threshold scan is reused whenever a
+later node has the same candidate count and the same multiset of
+co-occurrence counts, since those inputs fix the scan's result.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -235,24 +238,28 @@ def nb_dfs(db: TransactionDatabase, config: MinerConfig,
         for i in s:
             index[i].append(s)
 
+    # (n_cand, sorted candidate counts) -> (sigma, precision); with k, pi and
+    # a_per_incidence fixed for the run, the key determines the scan
+    scans: dict = {}
+
     def expand(l, txns, size):
         if not txns or (max_size is not None and size >= max_size):
             return
-        counter = Counter()
-        for t in txns:
-            counter.update(t)
+        counter = Counter(chain.from_iterable(txns))
         for i in l:
-            del counter[i]
+            counter.pop(i)
         if not counter:
             return
         n_cand = params.n_total - size
         if n_cand <= 0:
             return
-        rescale = sum(counter.values())
-        a_l = apc * rescale
-        if a_l <= 0:
-            return
-        sigma, prec = _threshold_scan(Counter(counter.values()), n_cand, k, a_l, pi)
+        key = (n_cand, tuple(sorted(counter.values())))
+        scan = scans.get(key)
+        if scan is None:
+            a_l = apc * sum(key[1])
+            scan = scans[key] = ((None, None) if a_l <= 0 else
+                                 _threshold_scan(Counter(key[1]), n_cand, k, a_l, pi))
+        sigma, prec = scan
         if sigma is None:
             return
         selected = [c for c, n in counter.items() if n >= sigma]
@@ -289,7 +296,11 @@ def write_itemsets(path, records) -> None:
 
 
 def read_itemsets(path) -> list:
-    """Read an itemset file back into (items, freq, threshold, precision) tuples."""
+    """Read an itemset file back into (items, freq, threshold, precision) tuples.
+
+    An integer threshold (nb's local sigma) comes back as an int; any other
+    (a baseline's global fraction) as a float.
+    """
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -302,6 +313,6 @@ def read_itemsets(path) -> list:
             ids, freq, sigma, prec = fields
             items = tuple(int(tok) for tok in ids.split())
             out.append((items, int(freq),
-                        float(sigma) if sigma else None,
+                        None if not sigma else int(sigma) if sigma.isdigit() else float(sigma),
                         float(prec) if prec else None))
     return out

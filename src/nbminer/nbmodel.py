@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
-from scipy.special import gammaln
+from scipy.special import chdtrc, gammaln
 
 from .transactions import TransactionDatabase
 
@@ -327,7 +326,7 @@ def gof_chi2(hist: FreqHistogram, params: NBParams) -> GofResult:
         raise ValueError(
             f"only {len(classes)} merged classes; need at least 4 for the test")
     chi2 = float(sum((o - e) ** 2 / e for o, e in classes))
-    return GofResult(chi2=chi2, df=df, p_value=float(stats.chi2.sf(chi2, df)))
+    return GofResult(chi2=chi2, df=df, p_value=float(chdtrc(df, chi2)))
 
 
 _MODEL_REAL_KEYS = ("k", "a", "a_per_incidence")

@@ -247,3 +247,11 @@ def test_module_invocation():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "nbminer 0.1.0"
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # every CLI call pays the import; scipy.stats alone costs most of it
+    code = "import sys, nbminer.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

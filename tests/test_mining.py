@@ -1,8 +1,12 @@
+import hashlib
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nbminer import mining
 from nbminer.mining import (
     MinedItemset,
     MinerConfig,
@@ -16,7 +20,8 @@ from nbminer.mining import (
     read_itemsets,
     write_itemsets,
 )
-from nbminer.nbmodel import NBParams
+from nbminer.nbmodel import NBParams, fit_database
+from nbminer.synthgen import generate, preset_config
 from nbminer.transactions import TransactionDatabase, extension_counts, project
 
 from _oracles import oracle_nb_frequent
@@ -236,6 +241,36 @@ def test_nb_dfs_matches_level_wise_oracle():
     assert checked >= 100
 
 
+@st.composite
+def small_db_and_params(draw):
+    n_items = draw(st.integers(2, 8))
+    rows = draw(st.lists(st.sets(st.integers(0, n_items - 1), min_size=1),
+                         min_size=1, max_size=30))
+    db = TransactionDatabase(rows)
+    n_obs = len(db.item_freq)
+    k = draw(st.floats(0.3, 3.0))
+    a = max(db.incidence_total / n_obs / k, 0.05)
+    params = NBParams(k=k, a=a, n_total=n_obs + draw(st.integers(0, 3)),
+                      incidence_total=db.incidence_total,
+                      transaction_count=len(db), em_iterations=0,
+                      trimmed_items=0)
+    return db, params
+
+
+@settings(deadline=None, max_examples=300)
+@given(small_db_and_params(),
+       st.floats(0.05, 0.99),
+       st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       st.one_of(st.none(), st.integers(1, 5)))
+def test_nb_dfs_matches_oracle_property(db_params, pi, theta, max_size):
+    db, params = db_params
+    mined = nb_dfs(db, MinerConfig(params=params, pi=pi, theta=theta), max_size=max_size)
+    got = {m.itemset(): m.freq for m in mined}
+    expect = {s: f for s, f in oracle_nb_frequent(db, params, pi, theta).items()
+              if max_size is None or len(s) <= max_size}
+    assert got == expect
+
+
 def test_nb_dfs_record_invariants():
     db, params = random_db_and_params(16)
     config = MinerConfig(params=params, pi=0.6, theta=0.5)
@@ -309,6 +344,53 @@ def test_nb_dfs_agrees_with_public_pipeline():
                 assert m.freq == ext.counts[c]
 
 
+# SHA-256 of the itemset file nb_dfs writes for the artif-1 preset at 300
+# transactions, seed 1, with the model from fit_database. Changes to the
+# search's internals must leave this output byte-identical.
+GOLDEN_DIGESTS = {
+    (0.95, 0.5): "571b7fa240b7b35ae53f27c543e9dd9385116f9800828da037a40895f1ad7338",
+    (0.6, 0.0): "041dc93270b0b73e85dc79fc8fd22a560c8e9867b864a6c0bb25a37fcfe7b2ea",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_db_and_params():
+    db, _ = generate(preset_config("artif-1", n_transactions=300, seed=1))
+    params, _ = fit_database(db)
+    return db, params
+
+
+@pytest.mark.parametrize("pi, theta", sorted(GOLDEN_DIGESTS))
+def test_nb_dfs_golden_digest(golden_db_and_params, pi, theta, tmp_path):
+    db, params = golden_db_and_params
+    path = tmp_path / "golden.itemsets"
+    write_itemsets(path, nb_dfs(db, MinerConfig(params=params, pi=pi, theta=theta)))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_DIGESTS[(pi, theta)]
+
+
+def test_nb_dfs_scans_each_distinct_input_once(golden_db_and_params, monkeypatch):
+    # nodes with the same candidate count and the same multiset of
+    # co-occurrence counts share one threshold scan
+    db, params = golden_db_and_params
+    scans, gen_calls = [], []
+    scan, gen = mining._threshold_scan, mining.nb_gen
+
+    def counting_scan(counts, n_candidates, *rest):
+        scans.append((n_candidates, tuple(sorted(counts.elements()))))
+        return scan(counts, n_candidates, *rest)
+
+    def counting_gen(*args):
+        gen_calls.append(1)
+        return gen(*args)
+
+    monkeypatch.setattr(mining, "_threshold_scan", counting_scan)
+    monkeypatch.setattr(mining, "nb_gen", counting_gen)
+    nb_dfs(db, MinerConfig(params=params, pi=0.95, theta=0.5))
+    assert len(set(scans)) == len(scans)
+    # one nb_gen call per node that found a threshold, plus the singles
+    assert len(scans) < (len(gen_calls) - 1) / 2
+
+
 def test_itemset_file_round_trip(tmp_path):
     records = [
         MinedItemset(items=(1, 5, 9), freq=37, sigma_freq=11,
@@ -323,7 +405,9 @@ def test_itemset_file_round_trip(tmp_path):
     assert lines[0].startswith("1 5 9\t37\t11\t0.958081869135")
     assert lines[2] == "4 8\t9\t\t"
     back = read_itemsets(path)
-    assert back[0] == ((1, 5, 9), 37, 11.0, 0.958081869135)
+    assert back[0] == ((1, 5, 9), 37, 11, 0.958081869135)
+    assert isinstance(back[0][2], int)
+    assert isinstance(back[1][2], float)
     assert back[1] == ((2, 3), 15, 0.001, None)
     assert back[2] == ((4, 8), 9, None, None)
 
