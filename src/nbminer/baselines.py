@@ -1,15 +1,31 @@
 """Reference miners: global minimum support and all-confidence.
 
-Both run level-wise with candidate generation over the previous level
-(prefix join plus subset pruning); all-confidence is anti-monotone, so the
-same pruning applies.
+Both miners are one level-wise search that differs only in its acceptance
+rule. An itemset with frequency f is accepted when f divided by the
+largest weight among its items reaches the threshold: every item weighs
+the number of transactions for minimum support and its own frequency for
+all-confidence. Both rules are anti-monotone, so candidates of size k+1
+come from the accepted itemsets of size k by prefix join plus subset
+pruning.
+
+Counting is vertical, as in Eclat (Zaki, "Scalable algorithms for
+association mining", IEEE TKDE 2000). Accepted single items are remapped
+to dense columns of a sparse transaction-by-item incidence matrix X, so
+no allocation depends on the size of the item ids, and every pair count
+comes from the product X.T @ X. From size 3 on, each candidate is counted
+by intersecting the tid bitset of its prefix, a Python int with bit t set
+for each transaction t that contains it, with the bitset of its last item.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from itertools import combinations
+from collections import defaultdict
+from functools import reduce
+from itertools import chain, repeat
+from operator import and_
 from typing import NamedTuple
+
+import numpy as np
 
 from .transactions import TransactionDatabase
 
@@ -37,18 +53,86 @@ def _apriori_gen(prev_level) -> list:
     return out
 
 
-def _count_candidates(txns, cands, k) -> Counter:
-    """Count occurrences of the size-k candidate tuples in the transactions."""
-    pool = {i for c in cands for i in c}
-    counts = Counter()
-    cand_set = set(cands)
-    for t in txns:
-        tt = [i for i in t if i in pool]
-        if len(tt) >= k:
-            for combo in combinations(tt, k):
-                if combo in cand_set:
-                    counts[combo] += 1
-    return counts
+def _incidence(db: TransactionDatabase, ids: list):
+    """The transaction-by-item 0/1 matrix restricted to ``ids`` (sorted), as
+    int32 CSR; column j stands for ids[j], so sorted columns are sorted ids."""
+    import scipy.sparse as sp
+
+    pos = {i: j for j, i in enumerate(ids)}
+    rows = db.transactions
+    cols = np.fromiter(map(pos.get, chain.from_iterable(rows), repeat(-1)),
+                       np.int32, db.incidence_total)
+    indptr = np.zeros(len(rows) + 1, np.int32)
+    np.cumsum(np.fromiter(map(len, rows), np.int32, len(rows)), out=indptr[1:])
+    if len(ids) < len(db.item_freq):
+        kept = cols >= 0
+        indptr = np.concatenate(([0], np.cumsum(kept, dtype=np.int32)))[indptr]
+        cols = cols[kept]
+    return sp.csr_matrix((np.ones(len(cols), np.int32), cols, indptr),
+                         shape=(len(rows), len(ids)))
+
+
+def _bitsets(xt, columns, n: int) -> dict:
+    """Column -> Python int with bit t set for each transaction t holding it,
+    for the given columns of the item-by-transaction CSR matrix ``xt``."""
+    bits = {}
+    row = np.zeros(n, bool)
+    for j in columns:
+        tids = xt.indices[xt.indptr[j]:xt.indptr[j + 1]]
+        row[tids] = True
+        bits[j] = int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+        row[tids] = False
+    return bits
+
+
+def _mine_vertical(db: TransactionDatabase, weight: dict, threshold: float) -> list:
+    """Every itemset whose frequency f satisfies
+    ``f / max(weight[i] for i in itemset) >= threshold``, sorted by size
+    then items.
+    """
+    freq = db.item_freq
+    ids = sorted(i for i, f in freq.items() if f / weight[i] >= threshold)
+    out = [((i,), freq[i]) for i in ids]
+    if len(ids) < 2:
+        return [FrequentItemset(*rec) for rec in out]
+    w = np.array([weight[i] for i in ids], np.int64)
+
+    # each array is dropped once used: transient memory adds to the peak RSS
+    # of whatever process runs the miners
+    x = _incidence(db, ids)
+    xt = x.T.tocsr()  # row j lists the transactions that hold column j
+    pairs = xt @ x
+    del x
+    a = np.repeat(np.arange(len(ids), dtype=np.int32), np.diff(pairs.indptr))
+    upper = pairs.indices > a
+    a, b, f = a[upper], pairs.indices[upper], pairs.data[upper]
+    del pairs, upper
+    accepted = f / np.maximum(w[a], w[b]) >= threshold
+    level = list(zip(a[accepted].tolist(), b[accepted].tolist()))
+    out.extend(((ids[p], ids[q]), c) for (p, q), c in zip(level, f[accepted].tolist()))
+    del a, b, f, accepted
+
+    cands = _apriori_gen(level)
+    if cands:
+        bits = _bitsets(xt, set(chain.from_iterable(level)), len(db))
+        del xt
+        w = w.tolist()
+        prefix = None
+        while cands:
+            found = []
+            # candidates come grouped by prefix; holding one prefix bitset at
+            # a time, not one per accepted itemset, keeps the heap from growing
+            for c in cands:
+                if c[:-1] != prefix:
+                    prefix = c[:-1]
+                    t = reduce(and_, map(bits.__getitem__, prefix))
+                f = (t & bits[c[-1]]).bit_count()
+                if f / max(w[j] for j in c) >= threshold:
+                    found.append(c)
+                    out.append((tuple(ids[j] for j in c), f))
+            cands = _apriori_gen(found)
+    out.sort(key=lambda rec: (len(rec[0]), rec[0]))
+    return [FrequentItemset(*rec) for rec in out]
 
 
 def mine_frequent(db: TransactionDatabase, min_support: float) -> list:
@@ -58,28 +142,7 @@ def mine_frequent(db: TransactionDatabase, min_support: float) -> list:
     n = len(db)
     if n == 0:
         raise ValueError("cannot mine an empty database")
-    out = []
-    singles = {i: f for i, f in db.item_freq.items() if f / n >= min_support}
-    out.extend(((i,), f) for i, f in singles.items())
-    if not singles:
-        return []
-    txns = [tuple(i for i in t if i in singles) for t in db.transactions]
-    counts = Counter()
-    for t in txns:
-        counts.update(combinations(t, 2))
-    level = {c: f for c, f in counts.items() if f / n >= min_support}
-    out.extend(level.items())
-    k = 3
-    while level:
-        cands = _apriori_gen(level)
-        if not cands:
-            break
-        counts = _count_candidates(txns, cands, k)
-        level = {c: f for c, f in counts.items() if f / n >= min_support}
-        out.extend(level.items())
-        k += 1
-    out.sort(key=lambda rec: (len(rec[0]), rec[0]))
-    return [FrequentItemset(items, f) for items, f in out]
+    return _mine_vertical(db, dict.fromkeys(db.item_freq, n), min_support)
 
 
 def all_confidence(db: TransactionDatabase, itemset) -> float:
@@ -100,29 +163,11 @@ def mine_allconf(db: TransactionDatabase, min_allconf: float) -> list:
     """All itemsets (size >= 2) with all-confidence >= min_allconf."""
     if not (0.0 < min_allconf <= 1.0):
         raise ValueError(f"min_allconf must be in (0, 1], got {min_allconf}")
-    n = len(db)
-    if n == 0:
+    if len(db) == 0:
         raise ValueError("cannot mine an empty database")
-    single = db.item_freq
-    txns = db.transactions
-    counts = Counter()
-    for t in txns:
-        counts.update(combinations(t, 2))
-    level = {c: f for c, f in counts.items()
-             if f / max(single[c[0]], single[c[1]]) >= min_allconf}
-    out = list(level.items())
-    k = 3
-    while level:
-        cands = _apriori_gen(level)
-        if not cands:
-            break
-        counts = _count_candidates(txns, cands, k)
-        level = {c: f for c, f in counts.items()
-                 if f / max(single[i] for i in c) >= min_allconf}
-        out.extend(level.items())
-        k += 1
-    out.sort(key=lambda rec: (len(rec[0]), rec[0]))
-    return [FrequentItemset(items, f) for items, f in out]
+    # each single item has all-confidence 1, so every item takes part
+    return [fs for fs in _mine_vertical(db, db.item_freq, min_allconf)
+            if len(fs.items) >= 2]
 
 
 def confidence(db: TransactionDatabase, antecedent, consequent_item: int) -> float:

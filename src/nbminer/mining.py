@@ -69,6 +69,15 @@ class MinedItemset:
         return frozenset(self.items)
 
 
+def _trusted_record(items, freq, sigma_freq, predicted_precision) -> MinedItemset:
+    """A MinedItemset built without ``__post_init__``'s checks, for records
+    whose items, threshold and precision the search has just established."""
+    rec = object.__new__(MinedItemset)
+    rec.__dict__.update(items=items, freq=freq, sigma_freq=sigma_freq,
+                        predicted_precision=predicted_precision)
+    return rec
+
+
 class Selection(NamedTuple):
     """Result of thresholding one itemset's candidate extensions."""
 
@@ -265,8 +274,7 @@ def nb_dfs(db: TransactionDatabase, config: MinerConfig,
         selected = [c for c, n in counter.items() if n >= sigma]
         for lp in nb_gen(l, selected, theta, repo):
             (c,) = lp - l
-            results.append(MinedItemset(items=tuple(sorted(lp)), freq=counter[c],
-                                        sigma_freq=sigma, predicted_precision=prec))
+            results.append(_trusted_record(tuple(sorted(lp)), counter[c], sigma, prec))
             expand(lp, [t for t in txns if c in t], size + 1)
 
     for i in items0:

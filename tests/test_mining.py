@@ -20,8 +20,7 @@ from nbminer.mining import (
     read_itemsets,
     write_itemsets,
 )
-from nbminer.nbmodel import NBParams, fit_database
-from nbminer.synthgen import generate, preset_config
+from nbminer.nbmodel import NBParams
 from nbminer.transactions import TransactionDatabase, extension_counts, project
 
 from _oracles import oracle_nb_frequent
@@ -353,19 +352,23 @@ GOLDEN_DIGESTS = {
 }
 
 
-@pytest.fixture(scope="module")
-def golden_db_and_params():
-    db, _ = generate(preset_config("artif-1", n_transactions=300, seed=1))
-    params, _ = fit_database(db)
-    return db, params
-
-
 @pytest.mark.parametrize("pi, theta", sorted(GOLDEN_DIGESTS))
 def test_nb_dfs_golden_digest(golden_db_and_params, pi, theta, tmp_path):
     db, params = golden_db_and_params
     path = tmp_path / "golden.itemsets"
     write_itemsets(path, nb_dfs(db, MinerConfig(params=params, pi=pi, theta=theta)))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_DIGESTS[(pi, theta)]
+
+
+def test_nb_dfs_records_pass_public_validation(golden_db_and_params):
+    # nb_dfs builds its records without MinedItemset's checks; each must
+    # still be one the public constructor accepts
+    db, params = golden_db_and_params
+    for pi, theta in sorted(GOLDEN_DIGESTS):
+        mined = nb_dfs(db, MinerConfig(params=params, pi=pi, theta=theta))
+        assert mined
+        for m in mined:
+            assert MinedItemset(m.items, m.freq, m.sigma_freq, m.predicted_precision) == m
 
 
 def test_nb_dfs_scans_each_distinct_input_once(golden_db_and_params, monkeypatch):
