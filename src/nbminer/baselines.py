@@ -10,15 +10,18 @@ pruning.
 
 Counting is vertical, as in Eclat (Zaki, "Scalable algorithms for
 association mining", IEEE TKDE 2000). Accepted single items are remapped
-to dense columns of a sparse transaction-by-item incidence matrix X, so
-no allocation depends on the size of the item ids, and every pair count
-comes from the product X.T @ X. From size 3 on, each candidate is counted
-by intersecting the tid bitset of its prefix, a Python int with bit t set
-for each transaction t that contains it, with the bitset of its last item.
+to dense column numbers, so no allocation depends on the size of the item
+ids, and each column gets the list of transactions that hold it. The pair
+counts are the transaction-by-item incidence matrix X's product X.T @ X,
+built one row at a time: row j counts the columns of the transactions
+that hold column j. From size 3 on, each candidate is counted by
+intersecting the tid bitset of its prefix, a Python int with bit t set for
+each transaction t that contains it, with the bitset of its last item.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
 from functools import reduce
 from itertools import chain, repeat
@@ -53,36 +56,36 @@ def _apriori_gen(prev_level) -> list:
     return out
 
 
-def _incidence(db: TransactionDatabase, ids: list):
-    """The transaction-by-item 0/1 matrix restricted to ``ids`` (sorted), as
-    int32 CSR; column j stands for ids[j], so sorted columns are sorted ids."""
-    import scipy.sparse as sp
+def _vertical(db: TransactionDatabase, pos: dict):
+    """The database laid out by column, for the columns in ``pos`` (item id
+    -> column number): ``cols``, the column of every incidence, transaction
+    after transaction, with len(pos) standing for any item not in ``pos``;
+    ``indptr``, where each transaction's incidences start in ``cols``; and
+    for each column, the transactions that hold it.
 
-    pos = {i: j for j, i in enumerate(ids)}
-    rows = db.transactions
-    cols = np.fromiter(map(pos.get, chain.from_iterable(rows), repeat(-1)),
-                       np.int32, db.incidence_total)
-    indptr = np.zeros(len(rows) + 1, np.int32)
-    np.cumsum(np.fromiter(map(len, rows), np.int32, len(rows)), out=indptr[1:])
-    if len(ids) < len(db.item_freq):
-        kept = cols >= 0
-        indptr = np.concatenate(([0], np.cumsum(kept, dtype=np.int32)))[indptr]
-        cols = cols[kept]
-    return sp.csr_matrix((np.ones(len(cols), np.int32), cols, indptr),
-                         shape=(len(rows), len(ids)))
+    Nothing is sized by the item ids. ``cols`` is the only array with one
+    entry per incidence: the transaction lists are many small arrays, which
+    the allocator can place in memory that earlier work freed, where one
+    more long array would extend the heap.
+    """
+    m, rows = len(pos), db.transactions
+    cols = np.fromiter(map(pos.get, chain.from_iterable(rows), repeat(m)),
+                       np.min_scalar_type(m), db.incidence_total)
+    indptr = np.zeros(len(rows) + 1, np.int64)
+    np.cumsum(np.fromiter(map(len, rows), np.int64, len(rows)), out=indptr[1:])
+    tids = [array("q") for _ in range(m)]
+    for t, row in enumerate(rows):
+        for j in map(pos.get, row):
+            if j is not None:
+                tids[j].append(t)
+    return cols, indptr, tids
 
 
-def _bitsets(xt, columns, n: int) -> dict:
-    """Column -> Python int with bit t set for each transaction t holding it,
-    for the given columns of the item-by-transaction CSR matrix ``xt``."""
-    bits = {}
+def _bitset(tids, n: int) -> int:
+    """The Python int with bit t set for each transaction t in ``tids``."""
     row = np.zeros(n, bool)
-    for j in columns:
-        tids = xt.indices[xt.indptr[j]:xt.indptr[j + 1]]
-        row[tids] = True
-        bits[j] = int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-        row[tids] = False
-    return bits
+    row[tids] = True
+    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
 
 
 def _mine_vertical(db: TransactionDatabase, weight: dict, threshold: float) -> list:
@@ -95,27 +98,32 @@ def _mine_vertical(db: TransactionDatabase, weight: dict, threshold: float) -> l
     out = [((i,), freq[i]) for i in ids]
     if len(ids) < 2:
         return [FrequentItemset(*rec) for rec in out]
+    m = len(ids)
     w = np.array([weight[i] for i in ids], np.int64)
+    cols, indptr, tids = _vertical(db, {i: j for j, i in enumerate(ids)})
 
-    # each array is dropped once used: transient memory adds to the peak RSS
-    # of whatever process runs the miners
-    x = _incidence(db, ids)
-    xt = x.T.tocsr()  # row j lists the transactions that hold column j
-    pairs = xt @ x
-    del x
-    a = np.repeat(np.arange(len(ids), dtype=np.int32), np.diff(pairs.indptr))
-    upper = pairs.indices > a
-    a, b, f = a[upper], pairs.indices[upper], pairs.data[upper]
-    del pairs, upper
-    accepted = f / np.maximum(w[a], w[b]) >= threshold
-    level = list(zip(a[accepted].tolist(), b[accepted].tolist()))
-    out.extend(((ids[p], ids[q]), c) for (p, q), c in zip(level, f[accepted].tolist()))
-    del a, b, f, accepted
+    # row j of the pair counts X.T @ X: the columns of every transaction
+    # that holds column j, counted
+    sizes = np.diff(indptr)
+    level = []
+    for j in range(m - 1):
+        t = np.frombuffer(tids[j], np.int64)
+        starts = indptr[t]
+        lens = sizes[t]
+        ends = np.cumsum(lens)
+        # where in cols the incidences of those transactions lie
+        at = np.repeat(starts - ends + lens, lens) + np.arange(ends[-1])
+        f = np.bincount(cols[at], minlength=m + 1)[j + 1:m]
+        ok = np.flatnonzero(f / np.maximum(w[j], w[j + 1:]) >= threshold)
+        for k, c in zip((ok + (j + 1)).tolist(), f[ok].tolist()):
+            level.append((j, k))
+            out.append(((ids[j], ids[k]), c))
+    del cols, indptr, sizes
 
     cands = _apriori_gen(level)
     if cands:
-        bits = _bitsets(xt, set(chain.from_iterable(level)), len(db))
-        del xt
+        bits = {j: _bitset(tids[j], len(db)) for j in set(chain.from_iterable(level))}
+        del tids
         w = w.tolist()
         prefix = None
         while cands:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
+from operator import lt
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -58,7 +59,7 @@ class MinedItemset:
     predicted_precision: float
 
     def __post_init__(self):
-        if len(self.items) < 2 or list(self.items) != sorted(set(self.items)):
+        if len(self.items) < 2 or not all(map(lt, self.items, self.items[1:])):
             raise ValueError(f"items must be >= 2 distinct ascending ids, got {self.items}")
         if not (self.freq >= self.sigma_freq >= 1):
             raise ValueError(f"freq {self.freq} below threshold {self.sigma_freq}")
@@ -67,15 +68,6 @@ class MinedItemset:
 
     def itemset(self) -> frozenset:
         return frozenset(self.items)
-
-
-def _trusted_record(items, freq, sigma_freq, predicted_precision) -> MinedItemset:
-    """A MinedItemset built without ``__post_init__``'s checks, for records
-    whose items, threshold and precision the search has just established."""
-    rec = object.__new__(MinedItemset)
-    rec.__dict__.update(items=items, freq=freq, sigma_freq=sigma_freq,
-                        predicted_precision=predicted_precision)
-    return rec
 
 
 class Selection(NamedTuple):
@@ -274,7 +266,8 @@ def nb_dfs(db: TransactionDatabase, config: MinerConfig,
         selected = [c for c, n in counter.items() if n >= sigma]
         for lp in nb_gen(l, selected, theta, repo):
             (c,) = lp - l
-            results.append(_trusted_record(tuple(sorted(lp)), counter[c], sigma, prec))
+            results.append(MinedItemset(items=tuple(sorted(lp)), freq=counter[c],
+                                        sigma_freq=sigma, predicted_precision=prec))
             expand(lp, [t for t in txns if c in t], size + 1)
 
     for i in items0:

