@@ -48,8 +48,6 @@ from .nbmodel import (
     nb_pmf_prefix,
     nb_tail,
     read_model,
-    rescale_for_itemset,
-    rescale_per_incidence,
     trim_top,
     write_model,
 )

@@ -163,7 +163,7 @@ def all_confidence(db: TransactionDatabase, itemset) -> float:
     denom = max(db.item_freq.get(i, 0) for i in z)
     if denom == 0:
         return 0.0
-    freq = sum(1 for s in db.sets if z <= s)
+    freq = sum(1 for t in db.transactions if z.issubset(t))
     return freq / denom
 
 
@@ -185,8 +185,8 @@ def confidence(db: TransactionDatabase, antecedent, consequent_item: int) -> flo
         raise ValueError("consequent must not be part of the antecedent")
     if len(db) == 0:
         raise ValueError("confidence is undefined on an empty database")
-    freq_l = len(db) if not l else sum(1 for s in db.sets if l <= s)
+    freq_l = len(db) if not l else sum(1 for t in db.transactions if l.issubset(t))
     if freq_l == 0:
         raise ValueError("antecedent never occurs; confidence undefined")
     both = l | {consequent_item}
-    return sum(1 for s in db.sets if both <= s) / freq_l
+    return sum(1 for t in db.transactions if both.issubset(t)) / freq_l

@@ -13,20 +13,11 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 
 from . import __version__
 from .baselines import mine_allconf, mine_frequent
-from .evaluation import (
-    ALLCONF_GRID,
-    SUPPORT_GRID,
-    SweepEntry,
-    pi_grid_for_theta,
-    positives_for_mode,
-    score,
-    write_sweep,
-)
+from .evaluation import allconf_runs, nb_runs, score, support_runs, sweep, write_sweep
 from .mining import MinerConfig, nb_dfs, read_itemsets, write_itemsets
 from .nbmodel import FreqHistogram, fit_database, gof_chi2, read_model, write_model
 from .synthgen import GenConfig, PRESETS, generate, preset_config, read_truth, write_truth
@@ -204,26 +195,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_init(db, params):
-    global _BENCH_DB, _BENCH_PARAMS
-    _BENCH_DB, _BENCH_PARAMS = db, params
-
-
-def _bench_job(job):
-    """Run one grid point; returns ("ok", item tuples) or ("error", message)."""
-    try:
-        kind = job[0]
-        if kind == "nb":
-            _, theta, pi = job
-            mined = nb_dfs(_BENCH_DB, MinerConfig(_BENCH_PARAMS, pi=pi, theta=theta))
-            return ("ok", [m.items for m in mined])
-        if kind == "support":
-            return ("ok", [f.items for f in mine_frequent(_BENCH_DB, job[1])])
-        return ("ok", [f.items for f in mine_allconf(_BENCH_DB, job[1])])
-    except Exception as exc:
-        return ("error", f"{type(exc).__name__}: {exc}")
-
-
 def _csv_floats(text: str) -> tuple:
     return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
@@ -255,46 +226,22 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     else:
         raise ValueError("either --basket or --preset is required")
 
-    jobs = []
+    runs = []
     if "nb" in methods:
         params, _ = fit_database(db, trim_fraction=args.trim)
+        pi_grid = _csv_floats(args.pi_grid) if args.pi_grid else None
         for theta in _csv_floats(args.theta):
-            grid = _csv_floats(args.pi_grid) if args.pi_grid else pi_grid_for_theta(theta)
-            jobs.extend(("nb", theta, pi) for pi in grid)
-    else:
-        params = None
+            runs.extend(nb_runs(params, theta, pi_grid))
     if "support" in methods:
-        grid = _csv_floats(args.support_grid) if args.support_grid else SUPPORT_GRID
-        jobs.extend(("support", sigma) for sigma in grid)
+        runs.extend(support_runs(_csv_floats(args.support_grid) if args.support_grid else None))
     if "allconf" in methods:
-        grid = _csv_floats(args.allconf_grid) if args.allconf_grid else ALLCONF_GRID
-        jobs.extend(("allconf", gamma) for gamma in grid)
+        runs.extend(allconf_runs(_csv_floats(args.allconf_grid) if args.allconf_grid else None))
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs, initializer=_bench_init,
-                                 initargs=(db, params)) as pool:
-            outcomes = list(pool.map(_bench_job, jobs))
-    else:
-        _bench_init(db, params)
-        outcomes = [_bench_job(job) for job in jobs]
-
-    positives = positives_for_mode(truth, args.scoring_mode)
-    entries = []
-    for job, (status, payload) in zip(jobs, outcomes):
-        if job[0] == "nb":
-            method, parameter = f"nb-theta{job[1]:g}", job[2]
-        else:
-            method, parameter = job[0], job[1]
-        if status == "error":
-            entries.append(SweepEntry(method, parameter, 0, 0, None, payload))
-            print(f"warning: {method} at {parameter:g} failed: {payload}",
+    entries = sweep(db, truth, runs, scoring_mode=args.scoring_mode, jobs=args.jobs)
+    for e in entries:
+        if e.error is not None:
+            print(f"warning: {e.method} at {e.parameter:g} failed: {e.error}",
                   file=sys.stderr)
-            continue
-        report = score(payload, truth, scoring_mode=args.scoring_mode,
-                       positives=positives)
-        scored = report.true_positives + report.false_positives
-        entries.append(SweepEntry(method, parameter, scored,
-                                  max(report.by_size, default=0), report))
     write_sweep(args.out, entries)
     done = sum(e.report is not None for e in entries)
     print(f"benchmark: {done}/{len(entries)} grid points -> {args.out}")

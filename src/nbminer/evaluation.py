@@ -6,15 +6,17 @@ truth pattern, because the generator plants every subset of a pattern
 whenever the pattern fires.  ``scoring_mode="maximal"`` restricts
 positives to the patterns themselves for comparison.
 
-``sweep`` runs a list of mining configurations over one database and
-scores each, recording mined count and maximal itemset size alongside
-the report so the output table is directly plottable.
+``sweep`` runs a list of mining configurations over one database,
+sequentially or across worker processes, and scores each, recording
+mined count and maximal itemset size alongside the report so the output
+table is directly plottable.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .baselines import mine_allconf, mine_frequent
@@ -47,6 +49,11 @@ SUPPORT_GRID = (0.01, 0.005, 0.004, 0.003, 0.002, 0.0015, 0.0013, 0.001, 0.0007,
 ALLCONF_GRID = (0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05, 0.04, 0.03, 0.02, 0.01)
 
 _SCORING_MODES = ("closure", "maximal")
+
+
+def _check_scoring_mode(scoring_mode: str) -> None:
+    if scoring_mode not in _SCORING_MODES:
+        raise ValueError(f"scoring_mode must be one of {_SCORING_MODES}, got {scoring_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -101,11 +108,10 @@ def positives_for_mode(
     truth: GroundTruth | Iterable[Iterable[int]], scoring_mode: str
 ) -> frozenset[frozenset[int]]:
     """The positives set for a scoring mode: subset closure or the patterns."""
+    _check_scoring_mode(scoring_mode)
     if scoring_mode == "closure":
         return positives_closure(truth)
-    if scoring_mode == "maximal":
-        return frozenset(p for p in _truth_patterns(truth) if len(p) >= 2)
-    raise ValueError(f"scoring_mode must be one of {_SCORING_MODES}, got {scoring_mode!r}")
+    return frozenset(p for p in _truth_patterns(truth) if len(p) >= 2)
 
 
 def _normalize_mined(mined: Iterable) -> set[frozenset[int]]:
@@ -134,8 +140,8 @@ def score(
     """
     if positives is None:
         positives = positives_for_mode(truth, scoring_mode)
-    elif scoring_mode not in _SCORING_MODES:
-        raise ValueError(f"scoring_mode must be one of {_SCORING_MODES}, got {scoring_mode!r}")
+    else:
+        _check_scoring_mode(scoring_mode)
     itemsets = _normalize_mined(mined)
 
     by_size: dict[int, list[int]] = {}
@@ -178,29 +184,64 @@ Runner = Callable[[TransactionDatabase], Iterable]
 RunSpec = tuple[str, float, Runner]
 
 
+def _run(runner: Runner, db: TransactionDatabase) -> tuple[str, object]:
+    """("ok", item collections) or ("error", "Type: message") for one run."""
+    try:
+        return "ok", [getattr(entry, "items", entry) for entry in runner(db)]
+    except Exception as exc:
+        return "error", f"{type(exc).__name__}: {exc}"
+
+
+_WORKER_DB: TransactionDatabase | None = None
+
+
+def _init_worker(db: TransactionDatabase) -> None:
+    global _WORKER_DB
+    _WORKER_DB = db
+
+
+def _run_in_worker(runner: Runner) -> tuple[str, object]:
+    return _run(runner, _WORKER_DB)
+
+
 def sweep(
     db: TransactionDatabase,
     truth: GroundTruth | Iterable[Iterable[int]],
     runs: Sequence[RunSpec],
     *,
     scoring_mode: str = "closure",
+    jobs: int = 1,
 ) -> list[SweepEntry]:
     """Run and score each (method, parameter, runner) against ``db``.
 
-    A failing run is recorded with its error message and the sweep
+    With ``jobs > 1`` the runs go to that many worker processes, each
+    given ``db`` once; runners must then be picklable (the ``*_runs``
+    helpers' are). Entries keep the order of ``runs`` either way. A
+    failing run is recorded with its error message and the sweep
     continues with the remaining grid points.
     """
+    _check_scoring_mode(scoring_mode)
+    runners = [runner for _, _, runner in runs]
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+                                 initargs=(db,)) as pool:
+            outcomes = list(pool.map(_run_in_worker, runners))
+    else:
+        outcomes = [_run(runner, db) for runner in runners]
+    # built only now, so the positives are not alive (and traced by the
+    # garbage collector) while the miners run
     positives = positives_for_mode(truth, scoring_mode)
     entries = []
-    for method, parameter, runner in runs:
-        try:
-            mined = _normalize_mined(runner(db))
-        except Exception as exc:
-            entries.append(SweepEntry(method, parameter, 0, 0, None, f"{type(exc).__name__}: {exc}"))
+    for (method, parameter, _), (status, payload) in zip(runs, outcomes):
+        if status == "error":
+            entries.append(SweepEntry(method, parameter, 0, 0, None, payload))
             continue
-        report = score(mined, truth, scoring_mode=scoring_mode, positives=positives)
-        max_size = max(map(len, mined), default=0)
-        entries.append(SweepEntry(method, parameter, len(mined), max_size, report))
+        report = score(payload, truth, scoring_mode=scoring_mode, positives=positives)
+        entries.append(SweepEntry(method, parameter,
+                                  report.true_positives + report.false_positives,
+                                  max(report.by_size, default=0), report))
     return entries
 
 
@@ -218,6 +259,12 @@ def pi_grid_for_theta(theta: float, grid: Sequence[float] = PI_GRID) -> tuple[fl
     return tuple(grid)
 
 
+def _nb_run(db: TransactionDatabase, params: NBParams, pi: float, theta: float,
+            max_size: int | None) -> list:
+    # the config is built here, so an invalid pi fails its own grid point
+    return nb_dfs(db, MinerConfig(params, pi=pi, theta=theta), max_size=max_size)
+
+
 def nb_runs(
     params: NBParams,
     theta: float,
@@ -228,31 +275,21 @@ def nb_runs(
     """Model-based runs at one theta across a pi grid."""
     grid = pi_grid_for_theta(theta) if pi_grid is None else tuple(pi_grid)
     method = f"nb-theta{theta:g}"
-
-    def runner_for(pi: float) -> Runner:
-        return lambda db: nb_dfs(db, MinerConfig(params, pi=pi, theta=theta), max_size=max_size)
-
-    return [(method, pi, runner_for(pi)) for pi in grid]
+    return [(method, pi, partial(_nb_run, params=params, pi=pi, theta=theta,
+                                 max_size=max_size))
+            for pi in grid]
 
 
 def support_runs(sigma_grid: Sequence[float] | None = None) -> list[RunSpec]:
     """Minimum-support baseline runs across a support grid."""
     grid = SUPPORT_GRID if sigma_grid is None else tuple(sigma_grid)
-
-    def runner_for(sigma: float) -> Runner:
-        return lambda db: mine_frequent(db, sigma)
-
-    return [("support", sigma, runner_for(sigma)) for sigma in grid]
+    return [("support", sigma, partial(mine_frequent, min_support=sigma)) for sigma in grid]
 
 
 def allconf_runs(gamma_grid: Sequence[float] | None = None) -> list[RunSpec]:
     """All-confidence baseline runs across a threshold grid."""
     grid = ALLCONF_GRID if gamma_grid is None else tuple(gamma_grid)
-
-    def runner_for(gamma: float) -> Runner:
-        return lambda db: mine_allconf(db, gamma)
-
-    return [("allconf", gamma, runner_for(gamma)) for gamma in grid]
+    return [("allconf", gamma, partial(mine_allconf, min_allconf=gamma)) for gamma in grid]
 
 
 _SWEEP_HEADER = (

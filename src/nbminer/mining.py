@@ -235,9 +235,9 @@ def nb_dfs(db: TransactionDatabase, config: MinerConfig,
         return results
 
     index = {i: [] for i in items0}
-    for s in db.sets:
-        for i in s:
-            index[i].append(s)
+    for t in db.transactions:
+        for i in t:
+            index[i].append(t)
 
     # (n_cand, sorted candidate counts) -> (sigma, precision); with k, pi and
     # a_per_incidence fixed for the run, the key determines the scan
@@ -270,8 +270,11 @@ def nb_dfs(db: TransactionDatabase, config: MinerConfig,
                                         sigma_freq=sigma, predicted_precision=prec))
             expand(lp, [t for t in txns if c in t], size + 1)
 
-    for i in items0:
-        expand(frozenset((i,)), index[i], 1)
+    try:
+        for i in items0:
+            expand(frozenset((i,)), index[i], 1)
+    finally:
+        del expand  # the closure holds itself; free the search state now
     results.sort(key=lambda m: (len(m.items), m.items))
     return results
 

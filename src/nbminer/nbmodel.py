@@ -273,20 +273,6 @@ def fit_database(db: TransactionDatabase, trim_fraction: float = 0.025,
     return params, trimmed
 
 
-def rescale_per_incidence(params: NBParams) -> float:
-    """Scale per single incidence: a divided by the fitted database's incidences."""
-    if params.incidence_total <= 0:
-        raise ValueError("incidence_total must be positive")
-    return params.a / params.incidence_total
-
-
-def rescale_for_itemset(a_per_incidence: float, sample_incidences) -> float:
-    """Scale for a conditional sample holding ``sample_incidences`` incidences."""
-    if a_per_incidence < 0 or sample_incidences < 0:
-        raise ValueError("rescaling inputs must be non-negative")
-    return a_per_incidence * sample_incidences
-
-
 def expected_frequent_items(params: NBParams, min_freq: int) -> float:
     """Expected number of items reaching frequency >= min_freq by chance."""
     return params.n_total * nb_tail(params.k, params.a, min_freq)

@@ -28,7 +28,7 @@ class TransactionDatabase:
     transaction sizes.
     """
 
-    __slots__ = ("transactions", "item_freq", "incidence_total", "_sets")
+    __slots__ = ("transactions", "item_freq", "incidence_total")
 
     def __init__(self, transactions: Iterable[Iterable[int]]):
         rows = []
@@ -46,7 +46,6 @@ class TransactionDatabase:
         self.transactions = rows
         self.item_freq = dict(Counter(chain.from_iterable(rows)))
         self.incidence_total = sum(len(t) for t in rows)
-        self._sets = None
 
     @classmethod
     def _from_rows(cls, rows: Iterable[tuple[int, ...]]) -> "TransactionDatabase":
@@ -58,12 +57,6 @@ class TransactionDatabase:
     @property
     def transaction_count(self) -> int:
         return len(self.transactions)
-
-    @property
-    def sets(self) -> tuple[frozenset, ...]:
-        if self._sets is None:
-            self._sets = tuple(frozenset(t) for t in self.transactions)
-        return self._sets
 
     def __len__(self) -> int:
         return len(self.transactions)
@@ -135,7 +128,7 @@ def support(db: TransactionDatabase, itemset) -> float:
     z = frozenset(itemset)
     if not z:
         return 1.0
-    return sum(1 for s in db.sets if z <= s) / len(db)
+    return sum(1 for t in db.transactions if z.issubset(t)) / len(db)
 
 
 def project(db: TransactionDatabase, itemset) -> TransactionDatabase:
@@ -147,7 +140,7 @@ def project(db: TransactionDatabase, itemset) -> TransactionDatabase:
     l = frozenset(itemset)
     if not l:
         return db
-    keep = [t for t, s in zip(db.transactions, db.sets) if l <= s]
+    keep = [t for t in db.transactions if l.issubset(t)]
     return TransactionDatabase._from_rows(keep)
 
 

@@ -7,9 +7,10 @@ import sys
 import pytest
 
 from nbminer.cli import main
+from nbminer.evaluation import allconf_runs, nb_runs, support_runs, sweep, write_sweep
 from nbminer.mining import MinerConfig, nb_dfs, read_itemsets
 from nbminer.nbmodel import fit_database, read_model
-from nbminer.synthgen import generate, preset_config
+from nbminer.synthgen import generate, preset_config, read_truth
 from nbminer.transactions import load_basket
 
 
@@ -230,6 +231,32 @@ def test_benchmark_grid_point_failure_is_reported_not_fatal(small_dataset, tmp_p
     assert "warning:" in capsys.readouterr().err
     lines = out.read_text(encoding="ascii").splitlines()
     assert len(lines) == 1 + 1  # the bad grid point is absent from the table
+
+
+def test_benchmark_parallel_failure_is_reported_not_fatal(small_dataset, tmp_path, capsys):
+    basket, truth = small_dataset
+    out = tmp_path / "warn.tsv"
+    rc = main(["benchmark", "--basket", str(basket), "--truth", str(truth),
+               "--methods", "support", "--support-grid", "0.02,7",
+               "--out", str(out), "--jobs", "2"])
+    assert rc == 0
+    assert "warning: support at 7 failed: ValueError" in capsys.readouterr().err
+    assert len(out.read_text(encoding="ascii").splitlines()) == 1 + 1
+
+
+def test_benchmark_table_is_the_library_sweep(small_dataset, tmp_path):
+    basket, truth = small_dataset
+    out, expected = tmp_path / "cli.tsv", tmp_path / "lib.tsv"
+    assert main(["benchmark", "--basket", str(basket), "--truth", str(truth),
+                 "--theta", "0,0.5", "--pi-grid", "0.95,0.8",
+                 "--support-grid", "0.02,0.05", "--allconf-grid", "0.4",
+                 "--scoring-mode", "maximal", "--out", str(out)]) == 0
+    db = load_basket(basket)
+    params, _ = fit_database(db, trim_fraction=0.025)
+    runs = (nb_runs(params, 0, [0.95, 0.8]) + nb_runs(params, 0.5, [0.95, 0.8])
+            + support_runs([0.02, 0.05]) + allconf_runs([0.4]))
+    write_sweep(expected, sweep(db, read_truth(truth), runs, scoring_mode="maximal"))
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_benchmark_preset_seed_in_manifest(tmp_path):

@@ -2,9 +2,11 @@
 
 import itertools
 import random
+from functools import partial
 
 import pytest
 
+from nbminer.baselines import mine_frequent
 from nbminer.evaluation import (
     ALLCONF_GRID,
     PI_GRID,
@@ -200,6 +202,18 @@ def test_sweep_baseline_runs():
     assert entries[0].mined_count <= entries[1].mined_count
     for e in entries:
         assert e.error is None
+
+
+def test_sweep_jobs_match_sequential():
+    db, params, truth = _planted()
+    runs = (nb_runs(params, 0.5, [0.9, 0.5]) + nb_runs(params, 0.5, [1.5])
+            + [("support", 7.0, partial(mine_frequent, min_support=7))]
+            + support_runs([0.2]) + allconf_runs([0.5]))
+    sequential = sweep(db, truth, runs)
+    assert sweep(db, truth, runs, jobs=2) == sequential
+    errors = [e.error for e in sequential if e.error is not None]
+    assert len(errors) == 2 and errors[1].startswith("ValueError: min_support")
+    assert sum(e.report is not None for e in sequential) == 4
 
 
 def test_sweep_table_round_trip(tmp_path):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 from collections import Counter
@@ -284,7 +285,7 @@ def test_nb_dfs_record_invariants():
         assert m.freq >= m.sigma_freq >= 1
         assert m.predicted_precision >= config.pi
         # freq really is the itemset's transaction count
-        got = sum(1 for s in db.sets if m.itemset() <= s)
+        got = sum(1 for t in db.transactions if m.itemset().issubset(t))
         assert got == m.freq
     # deterministic and sorted
     again = nb_dfs(db, config)
@@ -385,6 +386,48 @@ def test_nb_dfs_scans_each_distinct_input_once(golden_db_and_params, monkeypatch
     assert len(set(scans)) == len(scans)
     # one nb_gen call per node that found a threshold, plus the singles
     assert len(scans) < (len(gen_calls) - 1) / 2
+
+
+def _garbage_after(call) -> int:
+    """Objects the cycle collector finds after ``call()``, with it disabled."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_nb_dfs_leaves_no_reference_cycle(golden_db_and_params):
+    # the search state must be freed when nb_dfs returns, not whenever the
+    # cycle collector next runs
+    db, params = golden_db_and_params
+    config = MinerConfig(params=params, pi=0.95, theta=0.5)
+    assert _garbage_after(lambda: nb_dfs(db, config)) == 0
+
+
+def test_nb_dfs_leaves_no_reference_cycle_on_error(golden_db_and_params, monkeypatch):
+    db, params = golden_db_and_params
+    gen = mining.nb_gen
+    calls = []
+
+    def failing_gen(*args):
+        calls.append(1)
+        if len(calls) > 50:
+            raise RuntimeError("stop")
+        return gen(*args)
+
+    def mine_and_fail():
+        try:
+            nb_dfs(db, MinerConfig(params=params, pi=0.95, theta=0.5))
+        except RuntimeError:
+            pass
+        else:
+            raise AssertionError("the search should have failed")
+
+    monkeypatch.setattr(mining, "nb_gen", failing_gen)
+    assert _garbage_after(mine_and_fail) == 0
 
 
 def test_itemset_file_round_trip(tmp_path):

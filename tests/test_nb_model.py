@@ -18,8 +18,6 @@ from nbminer.nbmodel import (
     nb_pmf_prefix,
     nb_tail,
     read_model,
-    rescale_for_itemset,
-    rescale_per_incidence,
     trim_top,
     write_model,
 )
@@ -240,13 +238,7 @@ def test_fit_database_pipeline():
 def test_rescaling():
     params = NBParams(k=0.8, a=100.0, n_total=500, incidence_total=20000,
                       transaction_count=1000, em_iterations=2, trimmed_items=0)
-    a1 = rescale_per_incidence(params)
-    assert a1 == pytest.approx(100.0 / 20000, rel=1e-15)
-    assert params.a_per_incidence == a1
-    assert rescale_for_itemset(a1, 398) == pytest.approx(a1 * 398, rel=1e-15)
-    assert rescale_for_itemset(a1, 0) == 0.0
-    with pytest.raises(ValueError):
-        rescale_for_itemset(-a1, 10)
+    assert params.a_per_incidence == 100.0 / 20000
 
 
 def test_expected_frequent_items():
