@@ -11,26 +11,24 @@ pruning.
 Counting is vertical, as in Eclat (Zaki, "Scalable algorithms for
 association mining", IEEE TKDE 2000). Accepted single items are remapped
 to dense column numbers, so no allocation depends on the size of the item
-ids, and each column gets the list of transactions that hold it. The pair
-counts are the transaction-by-item incidence matrix X's product X.T @ X,
-built one row at a time: row j counts the columns of the transactions
-that hold column j. From size 3 on, each candidate is counted by
+ids. The pair counts are the columns after j of each row j of X.T @ X, X
+being the transaction-by-column incidence matrix, from the pair-count
+kernel of ``transactions``. From size 3 on, each candidate is counted by
 intersecting the tid bitset of its prefix, a Python int with bit t set for
 each transaction t that contains it, with the bitset of its last item.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import defaultdict
 from functools import reduce
-from itertools import chain, repeat
+from itertools import chain
 from operator import and_
 from typing import NamedTuple
 
 import numpy as np
 
-from .transactions import TransactionDatabase
+from .transactions import TransactionDatabase, _PairCounts
 
 
 class FrequentItemset(NamedTuple):
@@ -56,31 +54,6 @@ def _apriori_gen(prev_level) -> list:
     return out
 
 
-def _vertical(db: TransactionDatabase, pos: dict):
-    """The database laid out by column, for the columns in ``pos`` (item id
-    -> column number): ``cols``, the column of every incidence, transaction
-    after transaction, with len(pos) standing for any item not in ``pos``;
-    ``indptr``, where each transaction's incidences start in ``cols``; and
-    for each column, the transactions that hold it.
-
-    Nothing is sized by the item ids. ``cols`` is the only array with one
-    entry per incidence: the transaction lists are many small arrays, which
-    the allocator can place in memory that earlier work freed, where one
-    more long array would extend the heap.
-    """
-    m, rows = len(pos), db.transactions
-    cols = np.fromiter(map(pos.get, chain.from_iterable(rows), repeat(m)),
-                       np.min_scalar_type(m), db.incidence_total)
-    indptr = np.zeros(len(rows) + 1, np.int64)
-    np.cumsum(np.fromiter(map(len, rows), np.int64, len(rows)), out=indptr[1:])
-    tids = [array("q") for _ in range(m)]
-    for t, row in enumerate(rows):
-        for j in map(pos.get, row):
-            if j is not None:
-                tids[j].append(t)
-    return cols, indptr, tids
-
-
 def _bitset(tids, n: int) -> int:
     """The Python int with bit t set for each transaction t in ``tids``."""
     row = np.zeros(n, bool)
@@ -100,25 +73,16 @@ def _mine_vertical(db: TransactionDatabase, weight: dict, threshold: float) -> l
         return [FrequentItemset(*rec) for rec in out]
     m = len(ids)
     w = np.array([weight[i] for i in ids], np.int64)
-    cols, indptr, tids = _vertical(db, {i: j for j, i in enumerate(ids)})
-
-    # row j of the pair counts X.T @ X: the columns of every transaction
-    # that holds column j, counted
-    sizes = np.diff(indptr)
+    pairs = _PairCounts(db, {i: j for j, i in enumerate(ids)})
     level = []
     for j in range(m - 1):
-        t = np.frombuffer(tids[j], np.int64)
-        starts = indptr[t]
-        lens = sizes[t]
-        ends = np.cumsum(lens)
-        # where in cols the incidences of those transactions lie
-        at = np.repeat(starts - ends + lens, lens) + np.arange(ends[-1])
-        f = np.bincount(cols[at], minlength=m + 1)[j + 1:m]
+        f = pairs.row(j)[j + 1:]
         ok = np.flatnonzero(f / np.maximum(w[j], w[j + 1:]) >= threshold)
         for k, c in zip((ok + (j + 1)).tolist(), f[ok].tolist()):
             level.append((j, k))
             out.append(((ids[j], ids[k]), c))
-    del cols, indptr, sizes
+    tids = pairs.tids
+    del pairs
 
     cands = _apriori_gen(level)
     if cands:

@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .nbmodel import NBParams, nb_pmf_prefix, nb_tail
-from .transactions import ExtensionCounts, TransactionDatabase
+from .transactions import ExtensionCounts, TransactionDatabase, _PairCounts
 
 
 @dataclass(frozen=True)
@@ -231,17 +231,19 @@ def nb_dfs(db: TransactionDatabase, config: MinerConfig,
 
     items0 = sorted(db.item_freq)
     nb_gen(frozenset(), items0, theta, repo)  # singles are accepted by definition
-    if not items0 or max_size == 1:
+    n_cand = params.n_total - 1
+    if not items0 or max_size == 1 or n_cand <= 0:
         return results
-
-    index = {i: [] for i in items0}
-    for t in db.transactions:
-        for i in t:
-            index[i].append(t)
 
     # (n_cand, sorted candidate counts) -> (sigma, precision); with k, pi and
     # a_per_incidence fixed for the run, the key determines the scan
     scans: dict = {}
+
+    def scan(key):
+        a_l = apc * sum(key[1])
+        found = scans[key] = ((None, None) if a_l <= 0 else
+                              _threshold_scan(Counter(key[1]), key[0], k, a_l, pi))
+        return found
 
     def expand(l, txns, size):
         if not txns or (max_size is not None and size >= max_size):
@@ -255,12 +257,7 @@ def nb_dfs(db: TransactionDatabase, config: MinerConfig,
         if n_cand <= 0:
             return
         key = (n_cand, tuple(sorted(counter.values())))
-        scan = scans.get(key)
-        if scan is None:
-            a_l = apc * sum(key[1])
-            scan = scans[key] = ((None, None) if a_l <= 0 else
-                                 _threshold_scan(Counter(key[1]), n_cand, k, a_l, pi))
-        sigma, prec = scan
+        sigma, prec = scans.get(key) or scan(key)
         if sigma is None:
             return
         selected = [c for c, n in counter.items() if n >= sigma]
@@ -270,9 +267,33 @@ def nb_dfs(db: TransactionDatabase, config: MinerConfig,
                                         sigma_freq=sigma, predicted_precision=prec))
             expand(lp, [t for t in txns if c in t], size + 1)
 
+    # the first level: item j's candidate counts are row j of X.T @ X with
+    # its diagonal, j's own frequency, dropped
+    pos = {i: j for j, i in enumerate(items0)}
+    pairs = _PairCounts(db, pos)
     try:
-        for i in items0:
-            expand(frozenset((i,)), index[i], 1)
+        for j, i in enumerate(items0):
+            f = pairs.row(j)
+            f[j] = 0
+            cands = np.flatnonzero(f)
+            if not cands.size:
+                continue
+            counts = f[cands]
+            key = (n_cand, tuple(np.sort(counts).tolist()))
+            sigma, prec = scans.get(key) or scan(key)
+            if sigma is None:
+                continue
+            l = frozenset((i,))
+            selected = [items0[c] for c in cands[counts >= sigma].tolist()]
+            emitted = nb_gen(l, selected, theta, repo)
+            if not emitted:
+                continue
+            txns = list(map(db.transactions.__getitem__, pairs.tids[j].tolist()))
+            for lp in emitted:
+                (c,) = lp - l
+                results.append(MinedItemset(items=tuple(sorted(lp)), freq=int(f[pos[c]]),
+                                            sigma_freq=sigma, predicted_precision=prec))
+                expand(lp, [t for t in txns if c in t], 2)
     finally:
         del expand  # the closure holds itself; free the search state now
     results.sort(key=lambda m: (len(m.items), m.items))

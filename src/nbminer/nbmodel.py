@@ -13,14 +13,17 @@ baseline for any conditional database.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import chdtrc, gammaln
 
 from .transactions import TransactionDatabase
+
+# below this log, exp() leaves the normal doubles and loses its digits
+_LOG_MIN_NORMAL = math.log(sys.float_info.min)
 
 
 class UnderdispersedError(ValueError):
@@ -127,6 +130,10 @@ def nb_pmf(k: float, a: float, r):
     """Pr[frequency = r] under the model, for an int r or an array of ints."""
     if not (k > 0 and a > 0):
         raise ValueError(f"model parameters must be positive, got k={k}, a={a}")
+    # scipy is imported where it is used: most commands never need it, and
+    # its import takes longer than the rest of the package's
+    from scipy.special import gammaln
+
     r_arr = np.asarray(r)
     if np.any(r_arr < 0):
         raise ValueError("frequencies must be non-negative")
@@ -142,17 +149,21 @@ def nb_pmf_prefix(k: float, a: float, r_max: int) -> np.ndarray:
 
     Each term multiplies the previous by (k+r)/(r+1) * a/(1+a), seeded at
     Pr[0] = (1+a)^(-k); cheaper and just as accurate as the closed form.
+    When Pr[0] is below the smallest normal double, the terms are summed
+    as logs instead, so the later, representable terms keep their digits.
     """
     if not (k > 0 and a > 0):
         raise ValueError(f"model parameters must be positive, got k={k}, a={a}")
     if r_max < 0:
         raise ValueError("r_max must be non-negative")
-    p0 = math.exp(-k * math.log1p(a))
+    log_p0 = -k * math.log1p(a)
     if r_max == 0:
-        return np.array([p0])
+        return np.array([math.exp(log_p0)])
     j = np.arange(r_max)
     factors = (k + j) / (j + 1) * (a / (1.0 + a))
-    return np.cumprod(np.concatenate(([p0], factors)))
+    if log_p0 < _LOG_MIN_NORMAL:
+        return np.exp(np.cumsum(np.concatenate(([log_p0], np.log(factors)))))
+    return np.cumprod(np.concatenate(([math.exp(log_p0)], factors)))
 
 
 def nb_tail(k: float, a: float, rho: int) -> float:
@@ -311,6 +322,8 @@ def gof_chi2(hist: FreqHistogram, params: NBParams) -> GofResult:
     if df <= 0:
         raise ValueError(
             f"only {len(classes)} merged classes; need at least 4 for the test")
+    from scipy.special import chdtrc
+
     chi2 = float(sum((o - e) ** 2 / e for o, e in classes))
     return GofResult(chi2=chi2, df=df, p_value=float(chdtrc(df, chi2)))
 

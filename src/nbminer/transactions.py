@@ -11,8 +11,10 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, Iterator
+
+import numpy as np
 
 
 class BasketFormatError(ValueError):
@@ -159,3 +161,43 @@ def extension_counts(db_l: TransactionDatabase, itemset) -> ExtensionCounts:
                 f"item {i} occurs in {db_l.item_freq.get(i, 0)} of {m} transactions")
     counts = {i: f for i, f in db_l.item_freq.items() if i not in l}
     return ExtensionCounts(base=l, counts=counts, rescale_sum=sum(counts.values()))
+
+
+class _PairCounts:
+    """The item co-occurrence counts X.T @ X, one row at a time, X being the
+    transaction-by-column incidence matrix of ``db`` over the columns in
+    ``pos`` (item id -> column number 0..m-1). Counting is vertical, as in
+    Eclat (Zaki, "Scalable algorithms for association mining", IEEE TKDE
+    2000): ``tids[j]`` holds the transactions that contain column j, in
+    ascending order, and row j counts the columns of those transactions.
+    Entry j of row j is column j's own frequency.
+
+    Nothing is sized by the item ids: the column of every incidence is kept
+    in one array, transaction after transaction, with m standing for any
+    item not in ``pos``.
+    """
+
+    __slots__ = ("tids", "_cols", "_starts", "_sizes", "_m")
+
+    def __init__(self, db: TransactionDatabase, pos: dict):
+        m, rows = len(pos), db.transactions
+        self._m = m
+        self._cols = cols = np.fromiter(
+            map(pos.get, chain.from_iterable(rows), repeat(m)),
+            np.min_scalar_type(m), db.incidence_total)
+        self._sizes = sizes = np.fromiter(map(len, rows), np.int64, len(rows))
+        self._starts = np.cumsum(sizes) - sizes
+        # the transaction of every incidence, grouped by column; the stable
+        # sort keeps each group in transaction order
+        tids = np.repeat(np.arange(len(rows)), sizes)[np.argsort(cols, kind="stable")]
+        self.tids = np.split(tids, np.cumsum(np.bincount(cols, minlength=m + 1)[:m]))[:m]
+
+    def row(self, j: int) -> np.ndarray:
+        """Row j of X.T @ X: for each column, how many transactions hold it
+        together with column j. Column j must occur in some transaction."""
+        t = self.tids[j]
+        lens = self._sizes[t]
+        ends = np.cumsum(lens)
+        # where in the column array the incidences of those transactions lie
+        at = np.repeat(self._starts[t] - ends + lens, lens) + np.arange(ends[-1])
+        return np.bincount(self._cols[at], minlength=self._m + 1)[:self._m]

@@ -277,8 +277,9 @@ def test_module_invocation():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # every CLI call pays the import; scipy.stats alone costs most of it
-    code = "import sys, nbminer.cli; print('scipy.stats' in sys.modules)"
+    # every CLI call pays the import; scipy costs more than the rest of it
+    code = ("import sys, nbminer.cli; "
+            "print(any(m.partition('.')[0] == 'scipy' for m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

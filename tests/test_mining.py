@@ -1,7 +1,6 @@
 import gc
 import hashlib
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +10,6 @@ from nbminer import mining
 from nbminer.mining import (
     MinedItemset,
     MinerConfig,
-    RepoEntry,
     Selection,
     find_threshold,
     nb_dfs,
@@ -25,6 +23,7 @@ from nbminer.nbmodel import NBParams
 from nbminer.transactions import TransactionDatabase, extension_counts, project
 
 from _oracles import oracle_nb_frequent
+from test_baselines import EDGE_DATABASES
 
 # Candidate co-occurrence histogram of the running example: count r -> how
 # many candidates reached it. 156 candidates, counts summing to 333.
@@ -245,20 +244,27 @@ def test_nb_dfs_matches_level_wise_oracle():
     assert checked >= 100
 
 
+def _params_for(db, k, extra_items):
+    """A model for ``db`` with shape k; valid even when db has no items."""
+    n_obs = max(len(db.item_freq), 1)
+    inc = max(db.incidence_total, 1)
+    return NBParams(k=k, a=max(inc / n_obs / k, 0.05), n_total=n_obs + extra_items,
+                    incidence_total=inc, transaction_count=len(db),
+                    em_iterations=0, trimmed_items=0)
+
+
+# consecutive ids, and sparse or huge ones that must be remapped to dense
+# columns before they are counted
+ID_RANGES = [list(range(8)), [0, 3, 5, 8, 10**9, 2**63, 2**64 + 1, 7 * 10**12]]
+
+
 @st.composite
 def small_db_and_params(draw):
     n_items = draw(st.integers(2, 8))
-    rows = draw(st.lists(st.sets(st.integers(0, n_items - 1), min_size=1),
-                         min_size=1, max_size=30))
+    ids = draw(st.sampled_from(ID_RANGES))[:n_items]
+    rows = draw(st.lists(st.sets(st.sampled_from(ids)), min_size=1, max_size=30))
     db = TransactionDatabase(rows)
-    n_obs = len(db.item_freq)
-    k = draw(st.floats(0.3, 3.0))
-    a = max(db.incidence_total / n_obs / k, 0.05)
-    params = NBParams(k=k, a=a, n_total=n_obs + draw(st.integers(0, 3)),
-                      incidence_total=db.incidence_total,
-                      transaction_count=len(db), em_iterations=0,
-                      trimmed_items=0)
-    return db, params
+    return db, _params_for(db, draw(st.floats(0.3, 3.0)), draw(st.integers(0, 3)))
 
 
 @settings(deadline=None, max_examples=300)
@@ -273,6 +279,19 @@ def test_nb_dfs_matches_oracle_property(db_params, pi, theta, max_size):
     expect = {s: f for s, f in oracle_nb_frequent(db, params, pi, theta).items()
               if max_size is None or len(s) <= max_size}
     assert got == expect
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_DATABASES))
+def test_nb_dfs_matches_oracle_on_edge_inputs(name):
+    db = TransactionDatabase(EDGE_DATABASES[name])
+    for k in (0.3, 3.0):
+        for extra_items in (0, 3):
+            params = _params_for(db, k, extra_items)
+            for pi in (0.05, 0.5, 0.95):
+                for theta in (0.0, 0.5, 1.0):
+                    mined = nb_dfs(db, MinerConfig(params=params, pi=pi, theta=theta))
+                    got = {m.itemset(): m.freq for m in mined}
+                    assert got == oracle_nb_frequent(db, params, pi, theta), (k, pi, theta)
 
 
 def test_nb_dfs_record_invariants():

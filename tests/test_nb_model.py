@@ -95,6 +95,19 @@ def test_model_moments():
         assert var == pytest.approx(a * k * (1 + a), rel=1e-8)
 
 
+def test_tail_where_pr0_underflows():
+    # Pr[0] = 2^-2000 is far below the smallest double; a negative binomial
+    # tail is the regularized incomplete beta I_{a/(1+a)}(rho, k)
+    from scipy.special import betainc
+    k, a = 2000.0, 1.0
+    for rho in (1500, 2000, 2100, 2300, 2600):
+        assert nb_tail(k, a, rho) == pytest.approx(betainc(rho, k, a / (1 + a)),
+                                                   rel=1e-9, abs=1e-12)
+    prefix = nb_pmf_prefix(k, a, 2600)
+    direct = nb_pmf(k, a, np.arange(2601))
+    assert np.allclose(prefix, direct, rtol=1e-9, atol=1e-250)
+
+
 def test_tail():
     assert nb_tail(1.0, 1.0, 0) == 1.0
     assert nb_tail(1.0, 1.0, 2) == pytest.approx(0.25, rel=1e-12)
