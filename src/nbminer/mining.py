@@ -239,6 +239,8 @@ def nb_dfs(db: TransactionDatabase, config: MinerConfig,
     # a_per_incidence fixed for the run, the key determines the scan
     scans: dict = {}
 
+    # called as `scans.get(key) or scan(key)`: every cached scan is a
+    # non-empty tuple, so this runs on a miss only
     def scan(key):
         a_l = apc * sum(key[1])
         found = scans[key] = ((None, None) if a_l <= 0 else

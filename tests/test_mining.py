@@ -291,7 +291,7 @@ def test_nb_dfs_matches_oracle_on_edge_inputs(name):
                 for theta in (0.0, 0.5, 1.0):
                     mined = nb_dfs(db, MinerConfig(params=params, pi=pi, theta=theta))
                     got = {m.itemset(): m.freq for m in mined}
-                    assert got == oracle_nb_frequent(db, params, pi, theta), (k, pi, theta)
+                    assert got == oracle_nb_frequent(db, params, pi, theta), (k, extra_items, pi, theta)
 
 
 def test_nb_dfs_record_invariants():
