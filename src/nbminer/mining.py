@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .nbmodel import NBParams, nb_pmf_prefix, nb_tail
+from .nbmodel import NBParams, nb_pmf_prefix
 from .transactions import ExtensionCounts, TransactionDatabase, _PairCounts
 
 
@@ -90,6 +90,14 @@ def _counts_of(o_hist) -> dict:
     return getattr(o_hist, "counts", o_hist)
 
 
+def _precision(o: int, n_candidates: int, cum: list, rho: int) -> float:
+    """(o - e) / o for o observed candidates at or above rho, e being the
+    n_candidates * Pr[count >= rho] the model expects by chance; 0.0 when e
+    exceeds o or nothing is observed. ``cum[r]`` is Pr[count <= r]."""
+    e = n_candidates * min(1.0, max(0.0, 1.0 - cum[rho - 1]))
+    return (o - e) / o if (o > 0 and e <= o) else 0.0
+
+
 def predicted_precision(o_hist, n_candidates: int, k: float, a_l: float,
                         rho: int) -> float:
     """Predicted precision of selecting candidates with count >= rho.
@@ -98,6 +106,8 @@ def predicted_precision(o_hist, n_candidates: int, k: float, a_l: float,
     count. Precision is (o - e) / o with o the observed candidates at or
     above rho and e = n_candidates * Pr[count >= rho] the number the model
     expects by chance; 0.0 whenever e exceeds o or nothing is observed.
+    The arithmetic is the threshold scan's, so at the threshold that
+    ``find_threshold`` picks this is the precision the scan reports.
     """
     if rho < 1:
         raise ValueError(f"rho must be at least 1, got {rho}")
@@ -107,10 +117,8 @@ def predicted_precision(o_hist, n_candidates: int, k: float, a_l: float,
     o = sum(c for r, c in counts.items() if r >= rho)
     if o <= 0:
         return 0.0
-    e = n_candidates * nb_tail(k, a_l, rho)
-    if e > o:
-        return 0.0
-    return float((o - e) / o)
+    cum = np.cumsum(nb_pmf_prefix(k, a_l, rho - 1)).tolist()
+    return _precision(o, n_candidates, cum, rho)
 
 
 def _threshold_scan(counts: dict, n_candidates: int, k: float, a_l: float,
@@ -121,27 +129,37 @@ def _threshold_scan(counts: dict, n_candidates: int, k: float, a_l: float,
     Stops at the first failing rho (precision is not monotone in rho, and
     the useful threshold is the lowest one in the run of passes that starts
     at the top). Returns (None, None) when even the top count fails.
+    ``counts`` maps a count to how many candidates have it.
+
+    Between two adjacent observed counts the number of observed candidates
+    is fixed while the model's tail can only grow as rho falls, so there the
+    precision can only fall. The scan walks the observed counts from the
+    top and bisects the first stretch that fails inside itself.
     """
-    r_max = max((r for r, c in counts.items() if c > 0), default=0)
-    if r_max < 1:
+    rs = sorted((r for r, c in counts.items() if c > 0 and r >= 1), reverse=True)
+    if not rs:
         return None, None
-    cum = np.cumsum(nb_pmf_prefix(k, a_l, r_max)).tolist()
-    o_suffix = [0] * (r_max + 2)
-    for r, c in counts.items():
-        if r >= 1:
-            o_suffix[r] += c
-    for r in range(r_max - 1, 0, -1):
-        o_suffix[r] += o_suffix[r + 1]
+    cum = np.cumsum(nb_pmf_prefix(k, a_l, rs[0])).tolist()
     best = (None, None)
-    for rho in range(r_max, 0, -1):
-        o = o_suffix[rho]
-        tail = min(1.0, max(0.0, 1.0 - cum[rho - 1]))
-        e = n_candidates * tail
-        prec = (o - e) / o if (o > 0 and e <= o) else 0.0
-        if prec >= pi:
-            best = (rho, prec)
-        else:
+    o = 0
+    for i, hi in enumerate(rs):
+        o += counts[hi]
+        prec = _precision(o, n_candidates, cum, hi)
+        if prec < pi:
             break
+        lo = rs[i + 1] + 1 if i + 1 < len(rs) else 1
+        low = _precision(o, n_candidates, cum, lo)
+        if low >= pi:
+            best = (lo, low)
+            continue
+        while hi - lo > 1:  # hi passes, lo fails
+            mid = (hi + lo) // 2
+            p = _precision(o, n_candidates, cum, mid)
+            if p >= pi:
+                hi, prec = mid, p
+            else:
+                lo = mid
+        return hi, prec
     return best
 
 
@@ -210,6 +228,16 @@ def nb_gen(itemset, candidates, theta: float, repo: dict) -> list:
     return emitted
 
 
+# Nodes below the first level with at least this many rows are counted and
+# projected by the pair-count kernel, smaller ones by a Counter over their
+# rows, which costs less where the kernel's fixed numpy cost per node
+# dominates. Cut-offs down to 16 mine many-row nodes a little faster, but
+# make mining time grow so much less than linearly in the number of
+# transactions that acceptance criterion 12's linear fit often fails; above
+# about 128 the kernel no longer pays on many-row nodes.
+_KERNEL_ROWS = 96
+
+
 def nb_dfs(db: TransactionDatabase, config: MinerConfig,
            max_size: int = None) -> list:
     """Depth-first mining of all itemsets accepted under ``config``.
@@ -269,35 +297,56 @@ def nb_dfs(db: TransactionDatabase, config: MinerConfig,
                                         sigma_freq=sigma, predicted_precision=prec))
             expand(lp, [t for t in txns if c in t], size + 1)
 
-    # the first level: item j's candidate counts are row j of X.T @ X with
-    # its diagonal, j's own frequency, dropped
     pos = {i: j for j, i in enumerate(items0)}
     pairs = _PairCounts(db, pos)
+    rows = db.transactions
+    kernel_rows = _KERNEL_ROWS
+
+    def expand_tids(l, tids, size):
+        # the node of l whose rows are the transactions tids, counted by the
+        # pair-count kernel: its candidate counts are the columns of all
+        # their incidences, with l's own columns dropped
+        if max_size is not None and size >= max_size:
+            return
+        g = pairs.gather(tids)
+        f = pairs.count(g)
+        for i in l:
+            f[pos[i]] = 0
+        cands = np.flatnonzero(f)
+        if not cands.size:
+            return
+        n_cand = params.n_total - size
+        if n_cand <= 0:
+            return
+        counts = f[cands]
+        key = (n_cand, tuple(np.sort(counts).tolist()))
+        sigma, prec = scans.get(key) or scan(key)
+        if sigma is None:
+            return
+        selected = [items0[c] for c in cands[counts >= sigma].tolist()]
+        emitted = nb_gen(l, selected, theta, repo)
+        if not emitted:
+            return
+        owner = pairs.owners(tids)
+        for lp in emitted:
+            (c,) = lp - l
+            col = pos[c]
+            results.append(MinedItemset(items=tuple(sorted(lp)), freq=int(f[col]),
+                                        sigma_freq=sigma, predicted_precision=prec))
+            child = owner[g == col]
+            if child.size >= kernel_rows:
+                expand_tids(lp, child, size + 1)
+            else:
+                expand(lp, list(map(rows.__getitem__, child.tolist())), size + 1)
+
     try:
+        # every first-level node is counted by the kernel: item j's
+        # candidate counts are row j of X.T @ X without its diagonal
         for j, i in enumerate(items0):
-            f = pairs.row(j)
-            f[j] = 0
-            cands = np.flatnonzero(f)
-            if not cands.size:
-                continue
-            counts = f[cands]
-            key = (n_cand, tuple(np.sort(counts).tolist()))
-            sigma, prec = scans.get(key) or scan(key)
-            if sigma is None:
-                continue
-            l = frozenset((i,))
-            selected = [items0[c] for c in cands[counts >= sigma].tolist()]
-            emitted = nb_gen(l, selected, theta, repo)
-            if not emitted:
-                continue
-            txns = list(map(db.transactions.__getitem__, pairs.tids[j].tolist()))
-            for lp in emitted:
-                (c,) = lp - l
-                results.append(MinedItemset(items=tuple(sorted(lp)), freq=int(f[pos[c]]),
-                                            sigma_freq=sigma, predicted_precision=prec))
-                expand(lp, [t for t in txns if c in t], 2)
+            expand_tids(frozenset((i,)), pairs.tids[j], 1)
     finally:
-        del expand  # the closure holds itself; free the search state now
+        # the closures hold themselves and each other; free the search state now
+        del expand, expand_tids
     results.sort(key=lambda m: (len(m.items), m.items))
     return results
 

@@ -170,7 +170,8 @@ class _PairCounts:
     Eclat (Zaki, "Scalable algorithms for association mining", IEEE TKDE
     2000): ``tids[j]`` holds the transactions that contain column j, in
     ascending order, and row j counts the columns of those transactions.
-    Entry j of row j is column j's own frequency.
+    Entry j of row j is column j's own frequency. Any set of transactions
+    is counted the same way: ``count(gather(t))``.
 
     Nothing is sized by the item ids: the column of every incidence is kept
     in one array, transaction after transaction, with m standing for any
@@ -192,12 +193,25 @@ class _PairCounts:
         tids = np.repeat(np.arange(len(rows)), sizes)[np.argsort(cols, kind="stable")]
         self.tids = np.split(tids, np.cumsum(np.bincount(cols, minlength=m + 1)[:m]))[:m]
 
-    def row(self, j: int) -> np.ndarray:
-        """Row j of X.T @ X: for each column, how many transactions hold it
-        together with column j. Column j must occur in some transaction."""
-        t = self.tids[j]
+    def gather(self, t: np.ndarray) -> np.ndarray:
+        """The column of every incidence of the transactions ``t`` (a
+        non-empty tid array), transaction after transaction."""
         lens = self._sizes[t]
         ends = np.cumsum(lens)
         # where in the column array the incidences of those transactions lie
         at = np.repeat(self._starts[t] - ends + lens, lens) + np.arange(ends[-1])
-        return np.bincount(self._cols[at], minlength=self._m + 1)[:self._m]
+        return self._cols[at]
+
+    def owners(self, t: np.ndarray) -> np.ndarray:
+        """The transaction of every incidence that ``gather(t)`` returns."""
+        return np.repeat(t, self._sizes[t])
+
+    def count(self, g: np.ndarray) -> np.ndarray:
+        """For each column, how many of the incidences ``g`` fall in it:
+        with g = gather(t), how many of the transactions t hold it."""
+        return np.bincount(g, minlength=self._m + 1)[:self._m]
+
+    def row(self, j: int) -> np.ndarray:
+        """Row j of X.T @ X: for each column, how many transactions hold it
+        together with column j. Column j must occur in some transaction."""
+        return self.count(self.gather(self.tids[j]))

@@ -19,7 +19,7 @@ import pytest
 
 from nbminer.baselines import mine_allconf, mine_frequent
 from nbminer.evaluation import nb_runs, score, support_runs, sweep
-from nbminer.mining import MinerConfig, find_threshold, nb_dfs, predicted_precision
+from nbminer.mining import MinerConfig, find_threshold, nb_dfs, nb_select, predicted_precision
 from nbminer.nbmodel import fit_database, fit_moments, nb_pmf, nb_pmf_prefix
 from nbminer.synthgen import generate, preset_config
 from nbminer.transactions import TransactionDatabase, extension_counts, project, write_basket
@@ -165,7 +165,8 @@ def test_criterion_06_threshold_forms_admit_identically(small_dbs, dfs_grid):
     """Count-threshold and derived confidence-threshold admit the same sets.
 
     For every itemset emitted in criterion 4's runs and every base it can
-    extend from, the candidates admitted by `count >= sigma` must be exactly
+    extend from, with sigma the threshold `nb_select` finds for that base,
+    the candidates admitted by `count >= sigma` must be exactly
     those admitted by `confidence >= sigma-support / base-support`, with the
     confidence form evaluated in exact rational arithmetic.
     """
@@ -184,11 +185,7 @@ def test_criterion_06_threshold_forms_admit_identically(small_dbs, dfs_grid):
                 seen.add(key)
                 cond = project(db, base)
                 ext = extension_counts(cond, base)
-                n_cand = params.n_total - len(base)
-                if not ext.counts or ext.rescale_sum <= 0 or n_cand <= 0:
-                    continue
-                a_l = params.a_per_incidence * ext.rescale_sum
-                sigma = find_threshold(ext.counts, n_cand, params.k, a_l, pi)
+                sigma = nb_select(base, ext, params, pi).sigma_freq
                 if sigma is None:
                     continue
                 by_count = {c for c, cnt in ext.counts.items() if cnt >= sigma}

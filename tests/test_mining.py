@@ -1,9 +1,11 @@
 import gc
 import hashlib
+import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nbminer import mining
@@ -19,7 +21,7 @@ from nbminer.mining import (
     read_itemsets,
     write_itemsets,
 )
-from nbminer.nbmodel import NBParams
+from nbminer.nbmodel import NBParams, nb_pmf_prefix
 from nbminer.transactions import TransactionDatabase, extension_counts, project
 
 from _oracles import oracle_nb_frequent
@@ -94,6 +96,81 @@ def test_find_threshold_stops_at_first_failure():
 def test_find_threshold_empty_histogram():
     assert find_threshold({}, 100, 1.0, 1.0, 0.9) is None
     assert find_threshold({0: 50}, 100, 1.0, 1.0, 0.9) is None
+
+
+def linear_scan(counts, n_candidates, k, a_l, pi):
+    """The threshold scan one rho at a time, from the top count down to the
+    first failure, with the scan's arithmetic."""
+    r_max = max((r for r, c in counts.items() if c > 0), default=0)
+    if r_max < 1:
+        return None, None
+    cum = np.cumsum(nb_pmf_prefix(k, a_l, r_max)).tolist()
+    best = (None, None)
+    o = 0
+    for rho in range(r_max, 0, -1):
+        o += counts.get(rho, 0)
+        e = n_candidates * min(1.0, max(0.0, 1.0 - cum[rho - 1]))
+        prec = (o - e) / o if (o > 0 and e <= o) else 0.0
+        if prec < pi:
+            break
+        best = (rho, prec)
+    return best
+
+
+@st.composite
+def scan_inputs(draw):
+    """(count -> candidates map, n_candidates, k, a_l, pi) for the scan."""
+    if draw(st.booleans()):
+        r_max = draw(st.one_of(st.integers(1, 40), st.integers(41, 2000)))
+        k = draw(st.floats(0.05, 5.0))
+        mean = r_max * draw(st.floats(0.005, 1.0))
+    else:
+        # the model's mean count is above 708 and k large, so -log Pr[0] =
+        # k * log1p(a_l) passes 708 and nb_pmf_prefix sums logs
+        k = draw(st.floats(1000.0, 1e5))
+        mean = draw(st.floats(720.0, 1900.0))
+        r_max = draw(st.integers(int(mean) + 1, 2000))
+    counts = draw(st.dictionaries(st.integers(1, r_max), st.integers(1, 300), max_size=30))
+    counts[r_max] = draw(st.integers(1, 5))
+    n_candidates = sum(counts.values()) + draw(st.integers(0, 5000))
+    pi = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    return counts, n_candidates, k, mean / k, pi
+
+
+# a single count; the log branch with a gap-filled map; pi 0 and 1
+SCAN_EXAMPLES = [
+    ({7: 3}, 40, 0.8, 1.2, 0.9),
+    ({900: 2, 1100: 1, 1500: 1, 1980: 1, 5: 40}, 300, 2000.0, math.expm1(1200 / 2000.0), 0.5),
+    (EXAMPLE_HIST, EXAMPLE_N, EXAMPLE_K, EXAMPLE_A, 0.0),
+    (EXAMPLE_HIST, EXAMPLE_N, EXAMPLE_K, EXAMPLE_A, 1.0),
+]
+
+
+@settings(deadline=None, max_examples=400)
+@given(scan_inputs())
+@example(SCAN_EXAMPLES[0])
+@example(SCAN_EXAMPLES[1])
+@example(SCAN_EXAMPLES[2])
+@example(SCAN_EXAMPLES[3])
+def test_threshold_scan_matches_linear_scan(inputs):
+    # the scan bisects between observed counts; it must find the linear
+    # scan's threshold and the very same precision
+    assert mining._threshold_scan(*inputs) == linear_scan(*inputs)
+
+
+@settings(deadline=None, max_examples=300)
+@given(scan_inputs())
+@example(SCAN_EXAMPLES[1])
+def test_predicted_precision_brackets_threshold(inputs):
+    counts, n_candidates, k, a_l, pi = inputs
+    sigma = find_threshold(counts, n_candidates, k, a_l, pi)
+    if sigma is None:
+        return
+    prec = predicted_precision(counts, n_candidates, k, a_l, sigma)
+    assert prec >= pi
+    assert prec == mining._threshold_scan(counts, n_candidates, k, a_l, pi)[1]
+    if sigma > 1:  # the scan stopped at sigma - 1 because it failed there
+        assert predicted_precision(counts, n_candidates, k, a_l, sigma - 1) < pi
 
 
 def test_nb_select_worked_example():
@@ -382,6 +459,72 @@ def test_nb_dfs_golden_digest(golden_db_and_params, pi, theta, tmp_path):
     path = tmp_path / "golden.itemsets"
     write_itemsets(path, nb_dfs(db, MinerConfig(params=params, pi=pi, theta=theta)))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_DIGESTS[(pi, theta)]
+
+
+# row cut-offs that put every node below the first level on the pair-count
+# kernel, and every one on the Counter path (first-level nodes are always
+# counted by the kernel)
+KERNEL_CUTOFFS = {"kernel": 1, "counter": 10**9}
+
+
+@pytest.mark.parametrize("counting", sorted(KERNEL_CUTOFFS))
+def test_nb_dfs_counting_paths_golden(golden_db_and_params, counting, monkeypatch, tmp_path):
+    db, params = golden_db_and_params
+    monkeypatch.setattr(mining, "_KERNEL_ROWS", KERNEL_CUTOFFS[counting])
+    for (pi, theta), digest in sorted(GOLDEN_DIGESTS.items()):
+        mined = nb_dfs(db, MinerConfig(params=params, pi=pi, theta=theta))
+        assert {m.itemset(): m.freq for m in mined} == oracle_nb_frequent(db, params, pi, theta)
+        assert all(type(m.freq) is int for m in mined)
+        out = tmp_path / "golden.itemsets"
+        write_itemsets(out, mined)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("counting", sorted(KERNEL_CUTOFFS))
+@settings(deadline=None, max_examples=150)
+@given(db_params=small_db_and_params(), pi=st.floats(0.05, 0.99),
+       theta=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+def test_nb_dfs_counting_paths_match_oracle(counting, db_params, pi, theta):
+    db, params = db_params
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mining, "_KERNEL_ROWS", KERNEL_CUTOFFS[counting])
+        mined = nb_dfs(db, MinerConfig(params=params, pi=pi, theta=theta))
+    assert {m.itemset(): m.freq for m in mined} == oracle_nb_frequent(db, params, pi, theta)
+
+
+def assert_bound_to_nb_select(db, params, pi, mined):
+    """Every record's threshold, precision and admission are those that
+    nb_select gives one of its (k-1)-subsets on the public path."""
+    selections = {}
+    for m in mined:
+        items = m.itemset()
+        for i in m.items:
+            s = items - {i}
+            if s not in selections:
+                selections[s] = nb_select(s, extension_counts(project(db, s), s), params, pi)
+            sel = selections[s]
+            if (sel.sigma_freq == m.sigma_freq and sel.predicted_precision == m.predicted_precision
+                    and i in sel.items):
+                break
+        else:
+            raise AssertionError(f"no subset of {m.items} selects it as nb_dfs did")
+
+
+@pytest.mark.parametrize("pi, theta", sorted(GOLDEN_DIGESTS))
+def test_nb_dfs_records_bound_to_nb_select(golden_db_and_params, pi, theta):
+    db, params = golden_db_and_params
+    mined = nb_dfs(db, MinerConfig(params=params, pi=pi, theta=theta))
+    assert mined
+    assert_bound_to_nb_select(db, params, pi, mined)
+
+
+@settings(deadline=None, max_examples=150)
+@given(small_db_and_params(), st.floats(0.05, 0.99),
+       st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+def test_nb_dfs_records_bound_to_nb_select_property(db_params, pi, theta):
+    db, params = db_params
+    mined = nb_dfs(db, MinerConfig(params=params, pi=pi, theta=theta))
+    assert_bound_to_nb_select(db, params, pi, mined)
 
 
 def test_nb_dfs_scans_each_distinct_input_once(golden_db_and_params, monkeypatch):
