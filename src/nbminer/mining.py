@@ -228,16 +228,6 @@ def nb_gen(itemset, candidates, theta: float, repo: dict) -> list:
     return emitted
 
 
-# Nodes below the first level with at least this many rows are counted and
-# projected by the pair-count kernel, smaller ones by a Counter over their
-# rows, which costs less where the kernel's fixed numpy cost per node
-# dominates. Cut-offs down to 16 mine many-row nodes a little faster, but
-# make mining time grow so much less than linearly in the number of
-# transactions that acceptance criterion 12's linear fit often fails; above
-# about 128 the kernel no longer pays on many-row nodes.
-_KERNEL_ROWS = 96
-
-
 def nb_dfs(db: TransactionDatabase, config: MinerConfig,
            max_size: int = None) -> list:
     """Depth-first mining of all itemsets accepted under ``config``.
@@ -300,53 +290,37 @@ def nb_dfs(db: TransactionDatabase, config: MinerConfig,
     pos = {i: j for j, i in enumerate(items0)}
     pairs = _PairCounts(db, pos)
     rows = db.transactions
-    kernel_rows = _KERNEL_ROWS
-
-    def expand_tids(l, tids, size):
-        # the node of l whose rows are the transactions tids, counted by the
-        # pair-count kernel: its candidate counts are the columns of all
-        # their incidences, with l's own columns dropped
-        if max_size is not None and size >= max_size:
-            return
-        g = pairs.gather(tids)
-        f = pairs.count(g)
-        for i in l:
-            f[pos[i]] = 0
-        cands = np.flatnonzero(f)
-        if not cands.size:
-            return
-        n_cand = params.n_total - size
-        if n_cand <= 0:
-            return
-        counts = f[cands]
-        key = (n_cand, tuple(np.sort(counts).tolist()))
-        sigma, prec = scans.get(key) or scan(key)
-        if sigma is None:
-            return
-        selected = [items0[c] for c in cands[counts >= sigma].tolist()]
-        emitted = nb_gen(l, selected, theta, repo)
-        if not emitted:
-            return
-        owner = pairs.owners(tids)
-        for lp in emitted:
-            (c,) = lp - l
-            col = pos[c]
-            results.append(MinedItemset(items=tuple(sorted(lp)), freq=int(f[col]),
-                                        sigma_freq=sigma, predicted_precision=prec))
-            child = owner[g == col]
-            if child.size >= kernel_rows:
-                expand_tids(lp, child, size + 1)
-            else:
-                expand(lp, list(map(rows.__getitem__, child.tolist())), size + 1)
-
     try:
-        # every first-level node is counted by the kernel: item j's
-        # candidate counts are row j of X.T @ X without its diagonal
+        # the first level on the pair-count kernel: item j's candidate counts
+        # are row j of X.T @ X without its diagonal, and the one gather that
+        # counts them also projects j's children
         for j, i in enumerate(items0):
-            expand_tids(frozenset((i,)), pairs.tids[j], 1)
+            tids = pairs.tids[j]
+            g = pairs.gather(tids)
+            f = pairs.count(g)
+            f[j] = 0
+            cands = np.flatnonzero(f)
+            if not cands.size:
+                continue
+            counts = f[cands]
+            key = (n_cand, tuple(np.sort(counts).tolist()))
+            sigma, prec = scans.get(key) or scan(key)
+            if sigma is None:
+                continue
+            l = frozenset((i,))
+            selected = [items0[c] for c in cands[counts >= sigma].tolist()]
+            emitted = nb_gen(l, selected, theta, repo)
+            if not emitted:
+                continue
+            owner = pairs.owners(tids)
+            for lp in emitted:
+                (c,) = lp - l
+                col = pos[c]
+                results.append(MinedItemset(items=tuple(sorted(lp)), freq=int(f[col]),
+                                            sigma_freq=sigma, predicted_precision=prec))
+                expand(lp, list(map(rows.__getitem__, owner[g == col].tolist())), 2)
     finally:
-        # the closures hold themselves and each other; free the search state now
-        del expand, expand_tids
+        del expand  # the closure holds itself; free the search state now
     results.sort(key=lambda m: (len(m.items), m.items))
     return results
 
