@@ -1,29 +1,27 @@
 """Reference miners: global minimum support and all-confidence.
 
-Both miners are one level-wise search that differs only in its acceptance
+Both miners are one depth-first search that differs only in its acceptance
 rule. An itemset with frequency f is accepted when f divided by the
 largest weight among its items reaches the threshold: every item weighs
 the number of transactions for minimum support and its own frequency for
-all-confidence. Both rules are anti-monotone, so candidates of size k+1
-come from the accepted itemsets of size k by prefix join plus subset
-pruning.
+all-confidence. Both rules are anti-monotone, so only accepted itemsets
+are extended.
 
-Counting is vertical, as in Eclat (Zaki, "Scalable algorithms for
-association mining", IEEE TKDE 2000). Accepted single items are remapped
-to dense column numbers, so no allocation depends on the size of the item
-ids. The pair counts are the columns after j of each row j of X.T @ X, X
-being the transaction-by-column incidence matrix, from the pair-count
-kernel of ``transactions``. From size 3 on, each candidate is counted by
-intersecting the tid bitset of its prefix, a Python int with bit t set for
-each transaction t that contains it, with the bitset of its last item.
+The search is Eclat's (Zaki, "Scalable algorithms for association mining",
+IEEE TKDE 2000). Accepted single items are remapped to dense column
+numbers, so no allocation depends on the size of the item ids. The pair
+counts are the columns after j of each row j of X.T @ X, X being the
+transaction-by-column incidence matrix, from the pair-count kernel of
+``transactions``. Below the pairs, each accepted itemset P carries its tid
+bitset t_P, a Python int with bit t set for each transaction t that
+contains it, and its class: the columns x after its last item with P+x
+accepted, in ascending order. P+x+y, for y after x in that class, is
+counted as the bits of t_P & bits[x] & bits[y], and only when the pair
+{x, y} is accepted too.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from functools import reduce
-from itertools import chain
-from operator import and_
 from typing import NamedTuple
 
 import numpy as np
@@ -34,24 +32,6 @@ from .transactions import TransactionDatabase, _PairCounts
 class FrequentItemset(NamedTuple):
     items: tuple
     freq: int
-
-
-def _apriori_gen(prev_level) -> list:
-    """Size k+1 candidates from sorted k-tuples sharing a k-1 prefix."""
-    prev = set(prev_level)
-    by_prefix = defaultdict(list)
-    for t in prev:
-        by_prefix[t[:-1]].append(t[-1])
-    out = []
-    for prefix, lasts in by_prefix.items():
-        lasts.sort()
-        for i, x in enumerate(lasts):
-            for y in lasts[i + 1:]:
-                cand = prefix + (x, y)
-                if all(cand[:j] + cand[j + 1:] in prev
-                       for j in range(len(cand) - 2)):
-                    out.append(cand)
-    return out
 
 
 def _bitset(tids, n: int) -> int:
@@ -74,35 +54,39 @@ def _mine_vertical(db: TransactionDatabase, weight: dict, threshold: float) -> l
     m = len(ids)
     w = np.array([weight[i] for i in ids], np.int64)
     pairs = _PairCounts(db, {i: j for j, i in enumerate(ids)})
-    level = []
+    part = []  # part[j]: the columns after j that form an accepted pair with j
     for j in range(m - 1):
         f = pairs.row(j)[j + 1:]
         ok = np.flatnonzero(f / np.maximum(w[j], w[j + 1:]) >= threshold)
-        for k, c in zip((ok + (j + 1)).tolist(), f[ok].tolist()):
-            level.append((j, k))
+        part.append((ok + (j + 1)).tolist())
+        for k, c in zip(part[j], f[ok].tolist()):
             out.append(((ids[j], ids[k]), c))
     tids = pairs.tids
     del pairs
+    bits = {j: _bitset(tids[j], len(db))
+            for j in {j for j, ks in enumerate(part) if ks}.union(*part)}
+    del tids
+    partners = list(map(set, part))
+    w = w.tolist()
 
-    cands = _apriori_gen(level)
-    if cands:
-        bits = {j: _bitset(tids[j], len(db)) for j in set(chain.from_iterable(level))}
-        del tids
-        w = w.tolist()
-        prefix = None
-        while cands:
-            found = []
-            # candidates come grouped by prefix; holding one prefix bitset at
-            # a time, not one per accepted itemset, keeps the heap from growing
-            for c in cands:
-                if c[:-1] != prefix:
-                    prefix = c[:-1]
-                    t = reduce(and_, map(bits.__getitem__, prefix))
-                f = (t & bits[c[-1]]).bit_count()
-                if f / max(w[j] for j in c) >= threshold:
-                    found.append(c)
-                    out.append((tuple(ids[j] for j in c), f))
-            cands = _apriori_gen(found)
+    def grow(items, t, top, cls):
+        """Extend the accepted itemset ``items`` (item ids), with tid bitset
+        ``t``, largest weight ``top`` and class ``cls``, depth first."""
+        # the last member has no later one to pair with
+        for i, x in enumerate(cls[:-1]):
+            tx, topx, sub = t & bits[x], max(top, w[x]), []
+            for y in cls[i + 1:]:
+                if y in partners[x]:
+                    f = (tx & bits[y]).bit_count()
+                    if f / max(topx, w[y]) >= threshold:
+                        sub.append(y)
+                        out.append(((*items, ids[x], ids[y]), f))
+            if sub:
+                grow((*items, ids[x]), tx, topx, sub)
+
+    for j, cls in enumerate(part):
+        if len(cls) > 1:
+            grow((ids[j],), bits[j], w[j], cls)
     out.sort(key=lambda rec: (len(rec[0]), rec[0]))
     return [FrequentItemset(*rec) for rec in out]
 

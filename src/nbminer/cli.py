@@ -101,26 +101,19 @@ def cmd_mine(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_mine_support(args: argparse.Namespace) -> int:
+def cmd_mine_baseline(args: argparse.Namespace) -> int:
+    """``mine-support`` or ``mine-allconf``, as ``args.command`` names it."""
     started, t0 = _now(), time.perf_counter()
     db = load_basket(args.basket)
-    found = mine_frequent(db, args.min_support)
-    write_itemsets(args.out, [(f.items, f.freq, args.min_support, None) for f in found])
+    if args.command == "mine-support":
+        miner, threshold = mine_frequent, args.min_support
+    else:
+        miner, threshold = mine_allconf, args.min_allconf
+    found = miner(db, threshold)
+    write_itemsets(args.out, [(f.items, f.freq, threshold, None) for f in found])
     max_size = max((len(f.items) for f in found), default=0)
     print(f"mined {len(found)} itemsets (max size {max_size}) -> {args.out}")
-    _write_manifest(args.out, "mine-support", args, None, [args.basket], [args.out],
-                    started, time.perf_counter() - t0)
-    return 0
-
-
-def cmd_mine_allconf(args: argparse.Namespace) -> int:
-    started, t0 = _now(), time.perf_counter()
-    db = load_basket(args.basket)
-    found = mine_allconf(db, args.min_allconf)
-    write_itemsets(args.out, [(f.items, f.freq, args.min_allconf, None) for f in found])
-    max_size = max((len(f.items) for f in found), default=0)
-    print(f"mined {len(found)} itemsets (max size {max_size}) -> {args.out}")
-    _write_manifest(args.out, "mine-allconf", args, None, [args.basket], [args.out],
+    _write_manifest(args.out, args.command, args, None, [args.basket], [args.out],
                     started, time.perf_counter() - t0)
     return 0
 
@@ -286,13 +279,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("basket")
     p.add_argument("--out", required=True)
     p.add_argument("--min-support", type=float, required=True)
-    p.set_defaults(func=cmd_mine_support)
+    p.set_defaults(func=cmd_mine_baseline)
 
     p = subs.add_parser("mine-allconf", help="mine all-confidence itemsets (baseline)")
     p.add_argument("basket")
     p.add_argument("--out", required=True)
     p.add_argument("--min-allconf", type=float, required=True)
-    p.set_defaults(func=cmd_mine_allconf)
+    p.set_defaults(func=cmd_mine_baseline)
 
     p = subs.add_parser("generate", help="generate synthetic transactions")
     p.add_argument("--out", required=True, help="basket file to write")

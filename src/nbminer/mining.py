@@ -86,10 +86,6 @@ class RepoEntry:
     count: int = 0
 
 
-def _counts_of(o_hist) -> dict:
-    return getattr(o_hist, "counts", o_hist)
-
-
 def _precision(o: int, n_candidates: int, cum: list, rho: int) -> float:
     """(o - e) / o for o observed candidates at or above rho, e being the
     n_candidates * Pr[count >= rho] the model expects by chance; 0.0 when e
@@ -113,8 +109,7 @@ def predicted_precision(o_hist, n_candidates: int, k: float, a_l: float,
         raise ValueError(f"rho must be at least 1, got {rho}")
     if n_candidates <= 0:
         raise ValueError(f"n_candidates must be positive, got {n_candidates}")
-    counts = _counts_of(o_hist)
-    o = sum(c for r, c in counts.items() if r >= rho)
+    o = sum(c for r, c in o_hist.items() if r >= rho)
     if o <= 0:
         return 0.0
     cum = np.cumsum(nb_pmf_prefix(k, a_l, rho - 1)).tolist()
@@ -166,12 +161,13 @@ def _threshold_scan(counts: dict, n_candidates: int, k: float, a_l: float,
 def find_threshold(o_hist, n_candidates: int, k: float, a_l: float,
                    pi: float) -> Optional[int]:
     """Local frequency threshold for precision target pi, or None if even
-    the highest observed count cannot reach it."""
+    the highest observed count cannot reach it. ``o_hist`` maps
+    co-occurrence counts to how many candidates showed that count."""
     if not (0.0 <= pi <= 1.0):
         raise ValueError(f"pi must be in [0, 1], got {pi}")
     if n_candidates <= 0:
         raise ValueError(f"n_candidates must be positive, got {n_candidates}")
-    sigma, _ = _threshold_scan(_counts_of(o_hist), n_candidates, k, a_l, pi)
+    sigma, _ = _threshold_scan(o_hist, n_candidates, k, a_l, pi)
     return sigma
 
 
