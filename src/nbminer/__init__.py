@@ -62,11 +62,8 @@ from .synthgen import (
 )
 from .transactions import (
     BasketFormatError,
-    ExtensionCounts,
     TransactionDatabase,
-    extension_counts,
     load_basket,
-    project,
     support,
     write_basket,
 )

@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .nbmodel import NBParams, nb_pmf_prefix
-from .transactions import ExtensionCounts, TransactionDatabase, _PairCounts
+from .transactions import TransactionDatabase, _PairCounts
 
 
 @dataclass(frozen=True)
@@ -71,11 +71,14 @@ class MinedItemset:
 
 
 class Selection(NamedTuple):
-    """Result of thresholding one itemset's candidate extensions."""
+    """Result of thresholding one itemset's candidate extensions: the
+    selected items, the threshold and its precision, and every candidate's
+    count in the itemset's conditional database."""
 
     items: frozenset
     sigma_freq: Optional[int]
     predicted_precision: Optional[float]
+    counts: dict
 
 
 @dataclass
@@ -171,30 +174,30 @@ def find_threshold(o_hist, n_candidates: int, k: float, a_l: float,
     return sigma
 
 
-def nb_select(itemset, ext: ExtensionCounts, params: NBParams,
+def nb_select(db: TransactionDatabase, itemset, params: NBParams,
               pi: float) -> Selection:
     """Select the candidate extensions of ``itemset`` that beat the model.
 
-    The model's scale is rescaled to the conditional database's incidence
-    mass (``ext.rescale_sum``); candidates whose co-occurrence count reaches
-    the threshold are returned. Empty selection when no threshold exists,
-    when the conditional database carries no extension incidences, or when
-    the model has no candidates left (n_total <= |itemset|).
+    Every other item is counted over the transactions of ``db`` that hold
+    ``itemset`` (its conditional database), the model's scale is rescaled
+    to the total of those counts, and candidates whose count reaches the
+    threshold are selected. No threshold and no items when no threshold
+    exists, when no transaction holds the itemset with another item, or
+    when the model has no candidates left (n_total <= |itemset|).
     """
     l = frozenset(itemset)
-    if ext.base != l:
-        raise ValueError(f"extension counts are for base {sorted(ext.base)}, "
-                         f"not {sorted(l)}")
+    counts = Counter(chain.from_iterable(t for t in db.transactions if l.issubset(t)))
+    for i in l:
+        del counts[i]  # a Counter ignores missing keys: l may be in no row
     n_cand = params.n_total - len(l)
-    if n_cand <= 0 or ext.rescale_sum <= 0 or not ext.counts:
-        return Selection(frozenset(), None, None)
-    a_l = params.a_per_incidence * ext.rescale_sum
-    o_hist = Counter(ext.counts.values())
-    sigma, prec = _threshold_scan(o_hist, n_cand, params.k, a_l, pi)
+    if n_cand <= 0 or not counts:
+        return Selection(frozenset(), None, None, counts)
+    a_l = params.a_per_incidence * sum(counts.values())
+    sigma, prec = _threshold_scan(Counter(counts.values()), n_cand, params.k, a_l, pi)
     if sigma is None:
-        return Selection(frozenset(), None, None)
-    chosen = frozenset(c for c, n in ext.counts.items() if n >= sigma)
-    return Selection(chosen, sigma, prec)
+        return Selection(frozenset(), None, None, counts)
+    chosen = frozenset(c for c, n in counts.items() if n >= sigma)
+    return Selection(chosen, sigma, prec, counts)
 
 
 def nb_gen(itemset, candidates, theta: float, repo: dict) -> list:

@@ -23,7 +23,7 @@ seed therefore reproduces the same database and truth bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 

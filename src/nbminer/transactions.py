@@ -1,4 +1,4 @@
-"""Transaction databases: loading, projection, and co-occurrence counting.
+"""Transaction databases: loading, support, and co-occurrence counting.
 
 A transaction is a set of non-negative integer item ids. The basket file
 format is one transaction per line, item ids separated by whitespace;
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Iterable, Iterator
 
@@ -51,7 +50,7 @@ class TransactionDatabase:
 
     @classmethod
     def _from_rows(cls, rows: Iterable[tuple[int, ...]]) -> "TransactionDatabase":
-        # fast path for already-normalized rows (projection shares references)
+        # fast path for already-normalized rows
         db = cls.__new__(cls)
         db._init_from_rows(tuple(rows))
         return db
@@ -77,20 +76,6 @@ class TransactionDatabase:
     def __repr__(self) -> str:
         return (f"TransactionDatabase({len(self)} transactions, "
                 f"{len(self.item_freq)} items, {self.incidence_total} incidences)")
-
-
-@dataclass(frozen=True)
-class ExtensionCounts:
-    """Co-occurrence counts of candidate extension items for a base itemset.
-
-    ``counts[c]`` is the number of transactions of the conditional database
-    that contain ``base ∪ {c}``; ``rescale_sum`` is the total of all counts,
-    i.e. the incidences remaining after removing the base's own items.
-    """
-
-    base: frozenset
-    counts: dict
-    rescale_sum: int
 
 
 def load_basket(path) -> TransactionDatabase:
@@ -131,36 +116,6 @@ def support(db: TransactionDatabase, itemset) -> float:
     if not z:
         return 1.0
     return sum(1 for t in db.transactions if z.issubset(t)) / len(db)
-
-
-def project(db: TransactionDatabase, itemset) -> TransactionDatabase:
-    """Conditional database: the transactions containing ``itemset``.
-
-    Projection on the empty set returns ``db`` itself; otherwise the
-    surviving transactions are shared by reference, in their original order.
-    """
-    l = frozenset(itemset)
-    if not l:
-        return db
-    keep = [t for t in db.transactions if l.issubset(t)]
-    return TransactionDatabase._from_rows(keep)
-
-
-def extension_counts(db_l: TransactionDatabase, itemset) -> ExtensionCounts:
-    """Count candidate extensions of ``itemset`` over its conditional database.
-
-    ``db_l`` must already be the conditional database of ``itemset`` (every
-    transaction a superset); violating that is a contract error.
-    """
-    l = frozenset(itemset)
-    m = len(db_l)
-    for i in l:
-        if db_l.item_freq.get(i, 0) != m:
-            raise ValueError(
-                f"database is not conditional on {sorted(l)}: "
-                f"item {i} occurs in {db_l.item_freq.get(i, 0)} of {m} transactions")
-    counts = {i: f for i, f in db_l.item_freq.items() if i not in l}
-    return ExtensionCounts(base=l, counts=counts, rescale_sum=sum(counts.values()))
 
 
 class _PairCounts:

@@ -22,7 +22,7 @@ from nbminer.evaluation import nb_runs, score, support_runs, sweep
 from nbminer.mining import MinerConfig, find_threshold, nb_dfs, nb_select, predicted_precision
 from nbminer.nbmodel import fit_database, fit_moments, nb_pmf, nb_pmf_prefix
 from nbminer.synthgen import generate, preset_config
-from nbminer.transactions import TransactionDatabase, extension_counts, project, write_basket
+from nbminer.transactions import TransactionDatabase, write_basket
 
 from _oracles import oracle_allconf_sets, oracle_nb_frequent, oracle_support_sets
 from test_mining import EXAMPLE_A, EXAMPLE_HIST, EXAMPLE_K, EXAMPLE_N, random_db_and_params
@@ -183,16 +183,16 @@ def test_criterion_06_threshold_forms_admit_identically(small_dbs, dfs_grid):
                 if key in seen:
                     continue
                 seen.add(key)
-                cond = project(db, base)
-                ext = extension_counts(cond, base)
-                sigma = nb_select(base, ext, params, pi).sigma_freq
+                sel = nb_select(db, base, params, pi)
+                sigma = sel.sigma_freq
                 if sigma is None:
                     continue
-                by_count = {c for c, cnt in ext.counts.items() if cnt >= sigma}
-                support_base = Fraction(len(cond), n_txn)
+                by_count = {c for c, cnt in sel.counts.items() if cnt >= sigma}
+                n_cond = sum(1 for t in db.transactions if base.issubset(t))
+                support_base = Fraction(n_cond, n_txn)
                 derived_conf = Fraction(sigma, n_txn) / support_base
                 by_conf = {
-                    c for c, cnt in ext.counts.items()
+                    c for c, cnt in sel.counts.items()
                     if Fraction(cnt, n_txn) / support_base >= derived_conf
                 }
                 assert by_count == by_conf, (seed, pi, sorted(base))

@@ -1,0 +1,36 @@
+"""Every module of the package and of the tests uses each name it imports.
+
+Package ``__init__.py`` files are skipped: their imports are re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(p for d in (ROOT / "src" / "nbminer", ROOT / "tests")
+                 for p in d.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list:
+    """(line, name) of every name an import binds that the module never reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, a.asname or a.name.partition(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, a.asname or a.name) for a in node.names if a.name != "*"]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [(line, name) for line, name in bound if name not in used]
+
+
+def test_scan_finds_unused_names():
+    src = "import os.path\nimport sys as s\nfrom a import b, c as d\nfrom __future__ import annotations\nos, d\n"
+    assert unused_imports(src) == [(2, "s"), (3, "b")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_module_uses_every_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -22,7 +22,7 @@ from nbminer.mining import (
     write_itemsets,
 )
 from nbminer.nbmodel import NBParams, nb_pmf_prefix
-from nbminer.transactions import TransactionDatabase, extension_counts, project
+from nbminer.transactions import TransactionDatabase
 
 from _oracles import oracle_nb_frequent
 from test_baselines import EDGE_DATABASES
@@ -175,19 +175,17 @@ def test_predicted_precision_brackets_threshold(inputs):
 
 def test_nb_select_worked_example():
     params = example_params()
-    # raw candidate counts realizing EXAMPLE_HIST (ids are arbitrary)
+    # raw candidate counts realizing EXAMPLE_HIST (ids are arbitrary), and a
+    # database holding one row {9999, c} per unit of c's count
     counts = {}
     next_id = 0
     for r, n in EXAMPLE_HIST.items():
         for _ in range(n):
             counts[next_id] = r
             next_id += 1
-    db_rows = []
-    ext_base = frozenset((9999,))
-    from nbminer.transactions import ExtensionCounts
-    ext = ExtensionCounts(base=ext_base, counts=counts,
-                          rescale_sum=sum(counts.values()))
-    sel = nb_select(ext_base, ext, params, 0.95)
+    db = TransactionDatabase([9999, c] for c, r in counts.items() for _ in range(r))
+    sel = nb_select(db, [9999], params, 0.95)
+    assert sel.counts == counts
     assert sel.sigma_freq == 11
     assert sel.predicted_precision == pytest.approx(0.9580818691, abs=1e-8)
     assert len(sel.items) == 6
@@ -196,21 +194,15 @@ def test_nb_select_worked_example():
 
 def test_nb_select_no_support():
     params = example_params()
-    from nbminer.transactions import ExtensionCounts
-    empty = ExtensionCounts(base=frozenset((1,)), counts={}, rescale_sum=0)
-    assert nb_select(frozenset((1,)), empty, params, 0.95) == Selection(frozenset(), None, None)
+    db = TransactionDatabase([[1], [2, 3]])
+    assert nb_select(db, [1], params, 0.95) == Selection(frozenset(), None, None, {})
+    # an itemset absent from the database has no conditional rows
+    assert nb_select(db, [1, 2], params, 0.95) == Selection(frozenset(), None, None, {})
     # pi too strict for the data -> empty
-    ext = ExtensionCounts(base=frozenset((1,)), counts={5: 1, 6: 1}, rescale_sum=2)
-    sel = nb_select(frozenset((1,)), ext, params, 1.0)
+    db = TransactionDatabase([[1, 5], [1, 6]])
+    sel = nb_select(db, [1], params, 1.0)
     assert sel.items == frozenset()
-
-
-def test_nb_select_base_mismatch():
-    params = example_params()
-    from nbminer.transactions import ExtensionCounts
-    ext = ExtensionCounts(base=frozenset((1,)), counts={5: 3}, rescale_sum=3)
-    with pytest.raises(ValueError):
-        nb_select(frozenset((2,)), ext, params, 0.9)
+    assert sel.counts == {5: 1, 6: 1}
 
 
 def test_nb_gen_theta_zero_emits_immediately():
@@ -369,6 +361,7 @@ def test_nb_dfs_matches_oracle_on_edge_inputs(name):
                     mined = nb_dfs(db, MinerConfig(params=params, pi=pi, theta=theta))
                     got = {m.itemset(): m.freq for m in mined}
                     assert got == oracle_nb_frequent(db, params, pi, theta), (k, extra_items, pi, theta)
+                    assert_bound_to_nb_select(db, params, pi, mined)
 
 
 def test_nb_dfs_record_invariants():
@@ -436,12 +429,11 @@ def test_nb_dfs_agrees_with_public_pipeline():
     mined = {m.itemset(): m for m in nb_dfs(db, config)}
     for i in sorted(db.item_freq):
         l = frozenset((i,))
-        ext = extension_counts(project(db, l), l)
-        sel = nb_select(l, ext, params, config.pi)
+        sel = nb_select(db, l, params, config.pi)
         for c in sel.items:
             m = mined.get(l | {c})
             if m is not None and m.sigma_freq == sel.sigma_freq:
-                assert m.freq == ext.counts[c]
+                assert m.freq == sel.counts[c]
 
 
 # SHA-256 of the itemset file nb_dfs writes for the artif-1 preset at 300
@@ -470,7 +462,7 @@ def assert_bound_to_nb_select(db, params, pi, mined):
         for i in m.items:
             s = items - {i}
             if s not in selections:
-                selections[s] = nb_select(s, extension_counts(project(db, s), s), params, pi)
+                selections[s] = nb_select(db, s, params, pi)
             sel = selections[s]
             if (sel.sigma_freq == m.sigma_freq and sel.predicted_precision == m.predicted_precision
                     and i in sel.items):

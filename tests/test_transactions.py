@@ -5,12 +5,16 @@ import pytest
 from nbminer.transactions import (
     BasketFormatError,
     TransactionDatabase,
-    extension_counts,
     load_basket,
-    project,
     support,
     write_basket,
 )
+from nbminer.mining import nb_select
+from nbminer.nbmodel import NBParams
+
+# a model for reading nb_select's candidate counts; its threshold is not checked
+PARAMS = NBParams(k=1.0, a=1.0, n_total=1000, incidence_total=1000,
+                  transaction_count=100, em_iterations=0, trimmed_items=0)
 
 
 def random_db(rng, max_items=12, max_txns=60):
@@ -78,47 +82,20 @@ def test_support_basics():
         support(TransactionDatabase([]), [1])
 
 
-def test_project_empty_returns_same_object():
-    db = TransactionDatabase([[1, 2], [2]])
-    assert project(db, []) is db
-
-
-def test_project_matches_filter_and_preserves_order():
-    rng = random.Random(13)
-    for _ in range(30):
-        db = random_db(rng)
-        items = sorted(db.item_freq)
-        if not items:
-            continue
-        l = frozenset(rng.sample(items, rng.randint(1, min(3, len(items)))))
-        db_l = project(db, l)
-        expected = tuple(t for t in db.transactions if l <= set(t))
-        assert db_l.transactions == expected
-        # idempotent: already conditional
-        assert project(db_l, l).transactions == expected
-
-
-def test_extension_counts_contract_error():
-    db = TransactionDatabase([[1, 2], [2]])
-    with pytest.raises(ValueError):
-        extension_counts(db, [1])
-
-
 def test_extension_counts_excludes_base_incidences():
     # 201 transactions containing item 7, their sizes summing to 599:
-    # the rescale sum over extensions is 599 - 201 = 398.
+    # the candidate counts of {7} sum to 599 - 201 = 398.
     rows = [[7] + list(range(1000, 1199))]
     rows += [[7, 200 + j] for j in range(199)]
     rows += [[7]]
     rows += [[1, 2], [3]]  # noise without item 7
     db = TransactionDatabase(rows)
-    db7 = project(db, [7])
-    assert len(db7) == 201
-    assert db7.incidence_total == 599
-    ext = extension_counts(db7, [7])
-    assert ext.rescale_sum == 398
-    assert sum(ext.counts.values()) == 398
-    assert 7 not in ext.counts
+    cond = [t for t in db.transactions if 7 in t]
+    assert len(cond) == 201
+    assert sum(map(len, cond)) == 599
+    counts = nb_select(db, [7], PARAMS, 0.95).counts
+    assert sum(counts.values()) == 398
+    assert 7 not in counts
 
 
 def test_pipeline_matches_brute_force():
@@ -129,14 +106,13 @@ def test_pipeline_matches_brute_force():
         if len(items) < 2:
             continue
         l = frozenset(rng.sample(items, rng.randint(1, 2)))
-        db_l = project(db, l)
-        ext = extension_counts(db_l, l)
+        got = nb_select(db, l, PARAMS, 0.95).counts
         rows = [set(t) for t in db.transactions if l <= set(t)]
         counts = {}
         for t in rows:
             for c in t - l:
                 counts[c] = counts.get(c, 0) + 1
-        assert ext.counts == counts
-        assert ext.rescale_sum == sum(len(t) - len(l) for t in rows)
+        assert got == counts
+        assert sum(got.values()) == sum(len(t) - len(l) for t in rows)
         for c, n in counts.items():
             assert support(db, l | {c}) == n / len(db)
