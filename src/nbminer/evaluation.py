@@ -214,18 +214,21 @@ def sweep(
 ) -> list[SweepEntry]:
     """Run and score each (method, parameter, runner) against ``db``.
 
-    With ``jobs > 1`` the runs go to that many worker processes, each
-    given ``db`` once; runners must then be picklable (the ``*_runs``
-    helpers' are). Entries keep the order of ``runs`` either way. A
-    failing run is recorded with its error message and the sweep
-    continues with the remaining grid points.
+    With ``jobs > 1`` and more than one run, the runs go to
+    ``min(jobs, len(runs))`` worker processes, each given ``db`` once;
+    runners must then be picklable (the ``*_runs`` helpers' are).
+    Entries keep the order of ``runs`` either way. A failing run is
+    recorded with its error message and the sweep continues with the
+    remaining grid points.
     """
     _check_scoring_mode(scoring_mode)
     runners = [runner for _, _, runner in runs]
-    if jobs > 1:
+    # a process pool starts all of its workers at the first submit
+    workers = min(jobs, len(runners))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(db,)) as pool:
             outcomes = list(pool.map(_run_in_worker, runners))
     else:
@@ -259,24 +262,20 @@ def pi_grid_for_theta(theta: float, grid: Sequence[float] = PI_GRID) -> tuple[fl
     return tuple(grid)
 
 
-def _nb_run(db: TransactionDatabase, params: NBParams, pi: float, theta: float,
-            max_size: int | None) -> list:
+def _nb_run(db: TransactionDatabase, params: NBParams, pi: float, theta: float) -> list:
     # the config is built here, so an invalid pi fails its own grid point
-    return nb_dfs(db, MinerConfig(params, pi=pi, theta=theta), max_size=max_size)
+    return nb_dfs(db, MinerConfig(params, pi=pi, theta=theta))
 
 
 def nb_runs(
     params: NBParams,
     theta: float,
     pi_grid: Sequence[float] | None = None,
-    *,
-    max_size: int | None = None,
 ) -> list[RunSpec]:
     """Model-based runs at one theta across a pi grid."""
     grid = pi_grid_for_theta(theta) if pi_grid is None else tuple(pi_grid)
     method = f"nb-theta{theta:g}"
-    return [(method, pi, partial(_nb_run, params=params, pi=pi, theta=theta,
-                                 max_size=max_size))
+    return [(method, pi, partial(_nb_run, params=params, pi=pi, theta=theta))
             for pi in grid]
 
 

@@ -8,15 +8,17 @@ precision (the fraction of observed candidates at or above it that the
 baseline cannot explain) stays above ``pi`` becomes l's threshold.
 Candidate extensions at or above it are kept, and a superset is accepted
 once at least ``theta * size`` of its already-accepted subsets propose it
-(at least one). The search is depth-first; a repository of every superset
-ever proposed makes the subset counting exact and deduplicates output
-across branches. Within one run, a threshold scan is reused whenever a
-later node has the same candidate count and the same multiset of
-co-occurrence counts, since those inputs fix the scan's result.
+(at least one). The search is depth-first; a repository that counts the
+proposals of every superset makes the subset counting exact, and a
+superset is emitted only at the proposal that admits it, so output is not
+repeated across branches. Within one run, a threshold scan is reused
+whenever a later node has the same candidate count and the same multiset
+of co-occurrence counts, since those inputs fix the scan's result.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -79,14 +81,6 @@ class Selection(NamedTuple):
     sigma_freq: Optional[int]
     predicted_precision: Optional[float]
     counts: dict
-
-
-@dataclass
-class RepoEntry:
-    """Repository record: has the itemset been accepted, and by how many subsets proposed."""
-
-    frequent: bool = False
-    count: int = 0
 
 
 def _precision(o: int, n_candidates: int, cum: list, rho: int) -> float:
@@ -201,29 +195,24 @@ def nb_select(db: TransactionDatabase, itemset, params: NBParams,
 
 
 def nb_gen(itemset, candidates, theta: float, repo: dict) -> list:
-    """Register each candidate extension in the repository; return the
-    supersets that just crossed the subset-agreement threshold.
+    """Count a proposal of each candidate extension's superset in ``repo``
+    (superset -> number of proposals); return the supersets this call admits.
 
-    A superset of size s is emitted once theta * s of its subsets have
-    proposed it (and at least one); supersets already emitted earlier in
-    the run are dropped. Candidates are processed in ascending id order.
+    A superset of size s is admitted by its max(1, ceil(theta * s))-th
+    proposal, the first at which theta * s of its subsets (and at least
+    one) have proposed it, so each superset is emitted once per run.
+    Candidates are processed in ascending id order.
     """
     l = frozenset(itemset)
+    need = max(1, math.ceil(theta * (len(l) + 1)))
     emitted = []
     for c in sorted(candidates):
         if c in l:
             raise ValueError(f"candidate {c} already in base {sorted(l)}")
         lp = l | {c}
-        entry = repo.get(lp)
-        if entry is None:
-            entry = repo[lp] = RepoEntry()
-        if entry.frequent:
-            continue
-        entry.count += 1
-        if entry.count < theta * len(lp):
-            continue
-        entry.frequent = True
-        emitted.append(lp)
+        n = repo[lp] = repo.get(lp, 0) + 1
+        if n == need:
+            emitted.append(lp)
     return emitted
 
 
@@ -239,6 +228,10 @@ def nb_dfs(db: TransactionDatabase, config: MinerConfig,
     if max_size is not None and max_size < 1:
         raise ValueError(f"max_size must be at least 1, got {max_size}")
     params = config.params
+    n_total = params.n_total
+    # nodes of this size are not expanded: max_size caps the output, and an
+    # itemset of all n_total items has no candidate left
+    depth = n_total if max_size is None else min(max_size, n_total)
     k = params.k
     apc = params.a_per_incidence
     pi = config.pi
@@ -248,8 +241,7 @@ def nb_dfs(db: TransactionDatabase, config: MinerConfig,
 
     items0 = sorted(db.item_freq)
     nb_gen(frozenset(), items0, theta, repo)  # singles are accepted by definition
-    n_cand = params.n_total - 1
-    if not items0 or max_size == 1 or n_cand <= 0:
+    if not items0 or depth <= 1:
         return results
 
     # (n_cand, sorted candidate counts) -> (sigma, precision); with k, pi and
@@ -265,17 +257,14 @@ def nb_dfs(db: TransactionDatabase, config: MinerConfig,
         return found
 
     def expand(l, txns, size):
-        if not txns or (max_size is not None and size >= max_size):
+        if size >= depth:
             return
         counter = Counter(chain.from_iterable(txns))
         for i in l:
             counter.pop(i)
         if not counter:
             return
-        n_cand = params.n_total - size
-        if n_cand <= 0:
-            return
-        key = (n_cand, tuple(sorted(counter.values())))
+        key = (n_total - size, tuple(sorted(counter.values())))
         sigma, prec = scans.get(key) or scan(key)
         if sigma is None:
             return
@@ -302,7 +291,7 @@ def nb_dfs(db: TransactionDatabase, config: MinerConfig,
             if not cands.size:
                 continue
             counts = f[cands]
-            key = (n_cand, tuple(np.sort(counts).tolist()))
+            key = (n_total - 1, tuple(np.sort(counts).tolist()))
             sigma, prec = scans.get(key) or scan(key)
             if sigma is None:
                 continue

@@ -82,6 +82,29 @@ def oracle_nb_frequent(db, params, pi, theta):
     return out
 
 
+def oracle_nb_gen(itemset, candidates, theta, state):
+    """One round of proposals by subset agreement, from the definition.
+
+    ``state`` maps each proposed superset to [accepted, proposals]. In
+    ascending candidate order, a superset not yet accepted gains one
+    proposal and is accepted, and returned, as soon as it has been proposed
+    at least theta * size times (and at least once).
+    """
+    l = frozenset(itemset)
+    out = []
+    for c in sorted(candidates):
+        lp = l | {c}
+        entry = state.setdefault(lp, [False, 0])
+        if entry[0]:
+            continue
+        entry[1] += 1
+        if entry[1] < theta * len(lp):
+            continue
+        entry[0] = True
+        out.append(lp)
+    return out
+
+
 def oracle_support_sets(db, min_support):
     """All itemsets (size >= 1) with support >= min_support, by enumeration."""
     txns = [frozenset(t) for t in db.transactions]

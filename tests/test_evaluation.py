@@ -1,11 +1,13 @@
 """Scoring and sweep tests against small enumerable ground truths."""
 
+import concurrent.futures
 import itertools
 import random
 from functools import partial
 
 import pytest
 
+from nbminer import evaluation
 from nbminer.baselines import mine_frequent
 from nbminer.evaluation import (
     ALLCONF_GRID,
@@ -214,6 +216,38 @@ def test_sweep_jobs_match_sequential():
     errors = [e.error for e in sequential if e.error is not None]
     assert len(errors) == 2 and errors[1].startswith("ValueError: min_support")
     assert sum(e.report is not None for e in sequential) == 4
+
+
+def test_sweep_starts_no_more_workers_than_runs(monkeypatch):
+    db, params, truth = _planted()
+    sizes = []
+
+    class RecordingPool:
+        """A process pool stand-in: records its size, runs in this process."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(evaluation, "_WORKER_DB", None)
+    runs = support_runs([0.5, 0.2])
+    sequential = sweep(db, truth, runs)
+    assert sweep(db, truth, runs, jobs=4) == sequential
+    assert sizes == [2]
+    # one run, or none, needs no pool at all
+    assert sweep(db, truth, runs[:1], jobs=4) == sequential[:1]
+    assert sweep(db, truth, [], jobs=4) == []
+    assert sizes == [2]
 
 
 def test_sweep_table_round_trip(tmp_path):

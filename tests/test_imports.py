@@ -1,4 +1,4 @@
-"""Every module of the package and of the tests uses each name it imports.
+"""Every module of the package, the tests and the demos uses each name it imports.
 
 Package ``__init__.py`` files are skipped: their imports are re-exports.
 """
@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(p for d in (ROOT / "src" / "nbminer", ROOT / "tests")
+MODULES = sorted(p for d in (ROOT / "src" / "nbminer", ROOT / "tests", ROOT / "demos")
                  for p in d.glob("*.py") if p.name != "__init__.py")
 
 

@@ -24,7 +24,7 @@ from nbminer.mining import (
 from nbminer.nbmodel import NBParams, nb_pmf_prefix
 from nbminer.transactions import TransactionDatabase
 
-from _oracles import oracle_nb_frequent
+from _oracles import oracle_nb_frequent, oracle_nb_gen
 from test_baselines import EDGE_DATABASES
 
 # Candidate co-occurrence histogram of the running example: count r -> how
@@ -209,7 +209,7 @@ def test_nb_gen_theta_zero_emits_immediately():
     repo = {}
     out = nb_gen(frozenset((1, 2)), [5, 3], 0.0, repo)
     assert out == [frozenset((1, 2, 3)), frozenset((1, 2, 5))]  # ascending order
-    assert repo[frozenset((1, 2, 3))].frequent
+    assert repo == {frozenset((1, 2, 3)): 1, frozenset((1, 2, 5)): 1}
 
 
 def test_nb_gen_theta_one_needs_all_subsets():
@@ -219,7 +219,7 @@ def test_nb_gen_theta_one_needs_all_subsets():
     assert nb_gen(frozenset((1, 2)), [3], 1.0, repo) == []
     assert nb_gen(frozenset((1, 3)), [2], 1.0, repo) == []
     assert nb_gen(frozenset((2, 3)), [1], 1.0, repo) == [target]
-    assert repo[target].count == 3
+    assert repo[target] == 3
 
 
 def test_nb_gen_theta_half_pair_first_proposal():
@@ -231,7 +231,30 @@ def test_nb_gen_drops_already_frequent():
     repo = {}
     nb_gen(frozenset((1,)), [2], 0.0, repo)
     assert nb_gen(frozenset((2,)), [1], 0.0, repo) == []
-    assert repo[frozenset((1, 2))].count == 1  # second proposal not counted
+    assert repo[frozenset((1, 2))] == 2  # the second proposal is counted, not emitted again
+
+
+@st.composite
+def proposal_sequences(draw):
+    """Calls of nb_gen over at most 8 items: (itemset, candidates) pairs,
+    the candidates drawn from the items outside the itemset."""
+    items = range(draw(st.integers(1, 8)))
+    calls = []
+    for _ in range(draw(st.integers(1, 40))):
+        l = frozenset(draw(st.sets(st.sampled_from(items), max_size=len(items) - 1)))
+        rest = [i for i in items if i not in l]
+        calls.append((l, draw(st.lists(st.sampled_from(rest), max_size=len(rest)))))
+    return calls
+
+
+@settings(deadline=None, max_examples=300)
+@given(proposal_sequences(),
+       st.one_of(st.sampled_from([0.0, 0.1, 1 / 3, 0.5, 2 / 3, 0.7, 1.0]), st.floats(0.0, 1.0)))
+def test_nb_gen_matches_oracle_property(calls, theta):
+    # every call emits exactly what the definition admits at that proposal
+    repo, state = {}, {}
+    for l, candidates in calls:
+        assert nb_gen(l, candidates, theta, repo) == oracle_nb_gen(l, candidates, theta, state)
 
 
 def test_nb_gen_rejects_candidate_in_base():
@@ -314,10 +337,13 @@ def test_nb_dfs_matches_level_wise_oracle():
 
 
 def _params_for(db, k, extra_items):
-    """A model for ``db`` with shape k; valid even when db has no items."""
+    """A model for ``db`` with shape k and n_total = observed items +
+    ``extra_items`` (at least 1); valid even when db has no items. A
+    negative ``extra_items`` stands for a model fitted on another basket,
+    with fewer items than ``db`` holds."""
     n_obs = max(len(db.item_freq), 1)
     inc = max(db.incidence_total, 1)
-    return NBParams(k=k, a=max(inc / n_obs / k, 0.05), n_total=n_obs + extra_items,
+    return NBParams(k=k, a=max(inc / n_obs / k, 0.05), n_total=max(n_obs + extra_items, 1),
                     incidence_total=inc, transaction_count=len(db),
                     em_iterations=0, trimmed_items=0)
 
@@ -333,7 +359,7 @@ def small_db_and_params(draw):
     ids = draw(st.sampled_from(ID_RANGES))[:n_items]
     rows = draw(st.lists(st.sets(st.sampled_from(ids)), min_size=1, max_size=30))
     db = TransactionDatabase(rows)
-    return db, _params_for(db, draw(st.floats(0.3, 3.0)), draw(st.integers(0, 3)))
+    return db, _params_for(db, draw(st.floats(0.3, 3.0)), draw(st.integers(-3, 3)))
 
 
 @settings(deadline=None, max_examples=300)
