@@ -72,17 +72,6 @@ class EvalReport:
     recall: float | None
     by_size: Mapping[int, tuple[int, int]]
 
-    def __post_init__(self) -> None:
-        tp, fp = self.true_positives, self.false_positives
-        if tp < 0 or fp < 0 or self.positives_total < 0:
-            raise ValueError("negative counts in report")
-        if (self.precision is None) != (tp + fp == 0):
-            raise ValueError("precision must be None exactly when nothing was scored")
-        if (self.recall is None) != (self.positives_total == 0):
-            raise ValueError("recall must be None exactly when there are no positives")
-        if sum(t + f for t, f in self.by_size.values()) != tp + fp:
-            raise ValueError("per-size breakdown does not add up")
-
 
 def _truth_patterns(truth: GroundTruth | Iterable[Iterable[int]]) -> list[frozenset[int]]:
     if isinstance(truth, GroundTruth):
@@ -338,7 +327,8 @@ def read_sweep(path) -> list[dict]:
 
     Values are typed (counts int, parameter/precision/recall float,
     blank precision/recall None); per-size detail is not stored in the
-    table, so rows are plain mappings rather than SweepEntry objects.
+    table, so rows are plain mappings rather than SweepEntry objects. A
+    malformed row raises ValueError naming ``path:lineno``.
     """
     rows = []
     with open(path, encoding="ascii") as fh:
@@ -350,8 +340,8 @@ def read_sweep(path) -> list[dict]:
             if len(fields) != len(_SWEEP_HEADER):
                 raise ValueError(f"{path}:{lineno}: expected {len(_SWEEP_HEADER)} fields")
             method, parameter, mined, max_size, tp, fp, total, prec, rec = fields
-            rows.append(
-                {
+            try:
+                rows.append({
                     "method": method,
                     "parameter": float(parameter),
                     "mined_count": int(mined),
@@ -361,6 +351,7 @@ def read_sweep(path) -> list[dict]:
                     "positives_total": int(total),
                     "precision": float(prec) if prec else None,
                     "recall": float(rec) if rec else None,
-                }
-            )
+                })
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return rows

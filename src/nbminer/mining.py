@@ -22,7 +22,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from operator import lt
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -46,9 +45,9 @@ class MinerConfig:
             raise ValueError(f"theta must be in [0, 1], got {self.theta}")
 
 
-@dataclass(frozen=True)
-class MinedItemset:
-    """An accepted itemset and the local evidence that admitted it.
+class MinedItemset(NamedTuple):
+    """An accepted itemset and the local evidence that admitted it: one row
+    of the itemset file.
 
     ``sigma_freq`` is the local frequency threshold of the subset whose
     expansion emitted this itemset; ``predicted_precision`` is the model's
@@ -59,14 +58,6 @@ class MinedItemset:
     freq: int
     sigma_freq: int
     predicted_precision: float
-
-    def __post_init__(self):
-        if len(self.items) < 2 or not all(map(lt, self.items, self.items[1:])):
-            raise ValueError(f"items must be >= 2 distinct ascending ids, got {self.items}")
-        if not (self.freq >= self.sigma_freq >= 1):
-            raise ValueError(f"freq {self.freq} below threshold {self.sigma_freq}")
-        if not (0.0 <= self.predicted_precision <= 1.0):
-            raise ValueError(f"precision out of range: {self.predicted_precision}")
 
     def itemset(self) -> frozenset:
         return frozenset(self.items)
@@ -251,9 +242,8 @@ def nb_dfs(db: TransactionDatabase, config: MinerConfig,
     # called as `scans.get(key) or scan(key)`: every cached scan is a
     # non-empty tuple, so this runs on a miss only
     def scan(key):
-        a_l = apc * sum(key[1])
-        found = scans[key] = ((None, None) if a_l <= 0 else
-                              _threshold_scan(Counter(key[1]), key[0], k, a_l, pi))
+        found = scans[key] = _threshold_scan(Counter(key[1]), key[0], k,
+                                             apc * sum(key[1]), pi)
         return found
 
     def expand(l, txns, size):
@@ -271,8 +261,7 @@ def nb_dfs(db: TransactionDatabase, config: MinerConfig,
         selected = [c for c, n in counter.items() if n >= sigma]
         for lp in nb_gen(l, selected, theta, repo):
             (c,) = lp - l
-            results.append(MinedItemset(items=tuple(sorted(lp)), freq=counter[c],
-                                        sigma_freq=sigma, predicted_precision=prec))
+            results.append(MinedItemset(tuple(sorted(lp)), counter[c], sigma, prec))
             expand(lp, [t for t in txns if c in t], size + 1)
 
     pos = {i: j for j, i in enumerate(items0)}
@@ -304,8 +293,7 @@ def nb_dfs(db: TransactionDatabase, config: MinerConfig,
             for lp in emitted:
                 (c,) = lp - l
                 col = pos[c]
-                results.append(MinedItemset(items=tuple(sorted(lp)), freq=int(f[col]),
-                                            sigma_freq=sigma, predicted_precision=prec))
+                results.append(MinedItemset(tuple(sorted(lp)), int(f[col]), sigma, prec))
                 expand(lp, list(map(rows.__getitem__, owner[g == col].tolist())), 2)
     finally:
         del expand  # the closure holds itself; free the search state now
@@ -316,19 +304,15 @@ def nb_dfs(db: TransactionDatabase, config: MinerConfig,
 def write_itemsets(path, records) -> None:
     """Write itemset records as `ids TAB freq TAB threshold TAB precision`.
 
-    Records are (items, freq, threshold, precision) tuples or MinedItemset.
-    A None threshold/precision leaves the field empty (baseline miners have
-    no per-itemset precision; their global threshold goes in the third
-    column).
+    Records are (items, freq, threshold, precision) rows, MinedItemset
+    among them. A None threshold/precision leaves the field empty (baseline
+    miners have no per-itemset precision; their global threshold goes in
+    the third column). Both are written with 12 significant digits, which
+    leaves an integer threshold (below 10**12) as its digits.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            if isinstance(rec, MinedItemset):
-                items, freq, sigma, prec = (rec.items, rec.freq, rec.sigma_freq,
-                                            rec.predicted_precision)
-            else:
-                items, freq, sigma, prec = rec
-            sig = "" if sigma is None else f"{sigma:.12g}" if isinstance(sigma, float) else str(sigma)
+        for items, freq, sigma, prec in records:
+            sig = "" if sigma is None else f"{sigma:.12g}"
             pre = "" if prec is None else f"{prec:.12g}"
             fh.write(f"{' '.join(map(str, items))}\t{freq}\t{sig}\t{pre}\n")
 
@@ -337,7 +321,8 @@ def read_itemsets(path) -> list:
     """Read an itemset file back into (items, freq, threshold, precision) tuples.
 
     An integer threshold (nb's local sigma) comes back as an int; any other
-    (a baseline's global fraction) as a float.
+    (a baseline's global fraction) as a float. A malformed line raises
+    ValueError naming ``path:lineno``.
     """
     out = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -349,8 +334,10 @@ def read_itemsets(path) -> list:
             if len(fields) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields")
             ids, freq, sigma, prec = fields
-            items = tuple(int(tok) for tok in ids.split())
-            out.append((items, int(freq),
-                        None if not sigma else int(sigma) if sigma.isdigit() else float(sigma),
-                        float(prec) if prec else None))
+            try:
+                out.append((tuple(int(tok) for tok in ids.split()), int(freq),
+                            None if not sigma else int(sigma) if sigma.isdigit() else float(sigma),
+                            float(prec) if prec else None))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out

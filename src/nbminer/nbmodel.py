@@ -86,7 +86,10 @@ class NBParams:
 
     ``a`` is the scale at the full size of the fitted database;
     ``a_per_incidence = a / incidence_total`` is the size-free form that
-    gets rescaled to conditional databases.
+    gets rescaled to conditional databases, so it must not underflow to 0.
+    ``n_total`` as ``fit_em`` sets it counts the fitted items plus the zero
+    class; items removed by trimming are not added back, so a trimmed fit
+    has fewer items than its basket.
     """
 
     k: float
@@ -118,6 +121,10 @@ class NBParams:
             raise ValueError(
                 f"inconsistent a_per_incidence {self.a_per_incidence!r} "
                 f"(a/incidence_total = {derived!r})")
+        if not self.a_per_incidence > 0:
+            # every conditional scale a_l is a_per_incidence times a count
+            raise ValueError(f"a_per_incidence must be positive, got "
+                             f"{self.a_per_incidence!r} (a/incidence_total underflows)")
 
 
 class GofResult(NamedTuple):
@@ -279,7 +286,9 @@ def fit_database(db: TransactionDatabase, trim_fraction: float = 0.025,
     top 2.5% of items as outliers, which suits real data; pass 0.0 for
     synthetic data. ``n_known``, when given, is the total number of items
     assumed to exist (the zero class becomes n_known minus the post-trim
-    observed count).
+    observed count). Without it, ``n_total`` is the post-trim observed
+    count plus the estimated zero class, which leaves out the trimmed items:
+    below the basket's item count whenever anything was trimmed.
     """
     hist = FreqHistogram.from_database(db)
     trimmed, removed = trim_top(hist, trim_fraction)

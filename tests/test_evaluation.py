@@ -13,7 +13,6 @@ from nbminer.evaluation import (
     ALLCONF_GRID,
     PI_GRID,
     SUPPORT_GRID,
-    EvalReport,
     allconf_runs,
     nb_runs,
     pi_grid_for_theta,
@@ -146,17 +145,6 @@ def test_score_adding_true_positive_improves():
     assert more.precision > base.precision
 
 
-def test_report_validation():
-    with pytest.raises(ValueError):
-        EvalReport(-1, 0, 4, 1.0, 0.0, {})
-    with pytest.raises(ValueError):
-        EvalReport(1, 0, 4, None, 0.25, {2: (1, 0)})
-    with pytest.raises(ValueError):
-        EvalReport(1, 0, 0, 1.0, None, {})  # by_size does not add up
-    with pytest.raises(ValueError):
-        EvalReport(1, 0, 4, 1.0, None, {2: (1, 0)})
-
-
 def test_grid_restrictions():
     assert pi_grid_for_theta(1.0) == PI_GRID
     assert pi_grid_for_theta(0.5) == tuple(pi for pi in PI_GRID if pi >= 0.5)
@@ -284,6 +272,11 @@ def test_sweep_table_round_trip(tmp_path):
     bad = tmp_path / "bad.tsv"
     bad.write_text("wrong\theader\n", encoding="ascii")
     with pytest.raises(ValueError):
+        read_sweep(bad)
+    # a bad number names its file and line
+    header = path.read_text(encoding="ascii").split("\n")[0]
+    bad.write_text(header + "\nsupport\t0.2\tx\t2\t1\t0\t4\t1\t0.25\n", encoding="ascii")
+    with pytest.raises(ValueError, match=":2:"):
         read_sweep(bad)
 
 

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import math
 import random
 
@@ -273,22 +274,6 @@ def test_miner_config_validation():
         MinerConfig(params=params, theta=-0.1)
 
 
-def test_mined_itemset_validation():
-    MinedItemset(items=(1, 2), freq=10, sigma_freq=5, predicted_precision=0.99)
-    with pytest.raises(ValueError):
-        MinedItemset(items=(1,), freq=10, sigma_freq=5, predicted_precision=0.99)
-    with pytest.raises(ValueError):
-        MinedItemset(items=(2, 1), freq=10, sigma_freq=5, predicted_precision=0.99)
-    with pytest.raises(ValueError):
-        MinedItemset(items=(1, 1, 2), freq=10, sigma_freq=5, predicted_precision=0.99)
-    with pytest.raises(ValueError):
-        MinedItemset(items=(1, 3, 2), freq=10, sigma_freq=5, predicted_precision=0.99)
-    with pytest.raises(ValueError):
-        MinedItemset(items=(1, 2), freq=4, sigma_freq=5, predicted_precision=0.99)
-    with pytest.raises(ValueError):
-        MinedItemset(items=(1, 2), freq=10, sigma_freq=5, predicted_precision=1.5)
-
-
 def random_db_and_params(seed, max_items=12, max_txns=60):
     rng = random.Random(seed)
     n_items = rng.randint(4, max_items)
@@ -391,22 +376,29 @@ def test_nb_dfs_matches_oracle_on_edge_inputs(name):
 
 
 def test_nb_dfs_record_invariants():
-    db, params = random_db_and_params(16)
-    config = MinerConfig(params=params, pi=0.6, theta=0.5)
-    mined = nb_dfs(db, config)
-    assert mined, "fixture should produce something"
-    for m in mined:
-        assert len(m.items) >= 2
-        assert m.freq >= m.sigma_freq >= 1
-        assert m.predicted_precision >= config.pi
-        # freq really is the itemset's transaction count
-        got = sum(1 for t in db.transactions if m.itemset().issubset(t))
-        assert got == m.freq
-    # deterministic and sorted
-    again = nb_dfs(db, config)
-    assert again == mined
-    keys = [(len(m.items), m.items) for m in mined]
-    assert keys == sorted(keys)
+    produced = 0
+    for seed in range(25):
+        db, params = random_db_and_params(seed)
+        if db is None:
+            continue
+        for theta, pi in itertools.product((0.0, 0.5, 1.0), (0.3, 0.6)):
+            config = MinerConfig(params=params, pi=pi, theta=theta)
+            mined = nb_dfs(db, config)
+            produced += len(mined)
+            for m in mined:
+                assert len(m.items) >= 2
+                assert all(a < b for a, b in zip(m.items, m.items[1:])), m.items
+                assert m.freq >= m.sigma_freq >= 1
+                assert config.pi <= m.predicted_precision <= 1.0
+                # freq really is the itemset's transaction count
+                got = sum(1 for t in db.transactions if m.itemset().issubset(t))
+                assert got == m.freq
+            # deterministic and sorted
+            again = nb_dfs(db, config)
+            assert again == mined
+            keys = [(len(m.items), m.items) for m in mined]
+            assert keys == sorted(keys)
+    assert produced >= 500, "the fixtures should produce records"
 
 
 def test_nb_dfs_pi_monotone():
@@ -595,6 +587,7 @@ def test_itemset_file_round_trip(tmp_path):
     assert lines[2] == "4 8\t9\t\t"
     back = read_itemsets(path)
     assert back[0] == ((1, 5, 9), 37, 11, 0.958081869135)
+    assert back[0] == records[0]  # an nb record is its own file row
     assert isinstance(back[0][2], int)
     assert isinstance(back[1][2], float)
     assert back[1] == ((2, 3), 15, 0.001, None)
@@ -606,3 +599,8 @@ def test_read_itemsets_rejects_garbage(tmp_path):
     path.write_text("1 2\t3\n")
     with pytest.raises(ValueError):
         read_itemsets(path)
+    # a bad number names its file and line
+    for bad in ("1 2\tx\t3\t0.9\n", "1 y\t4\t3\t0.9\n", "1 2\t4\t3\tz\n"):
+        path.write_text("1 2\t4\t3\t0.9\n" + bad)
+        with pytest.raises(ValueError, match=":2:"):
+            read_itemsets(path)

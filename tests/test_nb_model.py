@@ -328,6 +328,13 @@ def test_model_file_errors(tmp_path):
         "em_iterations = 0\ntrimmed_items = 0\n")
     with pytest.raises(ValueError, match="integer"):
         read_model(path)
+    # a / incidence_total underflows: every conditional scale would be 0
+    path.write_text(
+        "k = 1.0\na = 1e-320\na_per_incidence = 0.0\nn_total = 10\n"
+        "incidence_total = 1000000\ntransaction_count = 10\n"
+        "em_iterations = 0\ntrimmed_items = 0\n")
+    with pytest.raises(ValueError, match="a_per_incidence must be positive"):
+        read_model(path)
 
 
 def test_nbparams_validation():
@@ -341,3 +348,6 @@ def test_nbparams_validation():
         NBParams(k=1.0, a=1.0, n_total=10, incidence_total=100,
                  transaction_count=10, em_iterations=0, trimmed_items=0,
                  a_per_incidence=0.5)  # inconsistent with a / incidence_total
+    with pytest.raises(ValueError, match="a_per_incidence must be positive"):
+        NBParams(k=1.0, a=1e-320, n_total=10, incidence_total=10**6,
+                 transaction_count=10, em_iterations=0, trimmed_items=0)

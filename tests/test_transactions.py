@@ -1,16 +1,22 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nbminer.transactions import (
     BasketFormatError,
     TransactionDatabase,
+    _PairCounts,
     load_basket,
     support,
     write_basket,
 )
 from nbminer.mining import nb_select
 from nbminer.nbmodel import NBParams
+
+from test_mining import ID_RANGES
 
 # a model for reading nb_select's candidate counts; its threshold is not checked
 PARAMS = NBParams(k=1.0, a=1.0, n_total=1000, incidence_total=1000,
@@ -116,3 +122,32 @@ def test_pipeline_matches_brute_force():
         assert sum(got.values()) == sum(len(t) - len(l) for t in rows)
         for c, n in counts.items():
             assert support(db, l | {c}) == n / len(db)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_pair_counts_match_brute_force(data):
+    ids = data.draw(st.sampled_from(ID_RANGES))
+    rows = data.draw(st.lists(st.sets(st.sampled_from(ids)), min_size=1, max_size=20))
+    db = TransactionDatabase(rows)
+    # the columns cover some of the observed items, in any order
+    cols = data.draw(st.permutations(sorted(db.item_freq)))
+    cols = cols[:data.draw(st.integers(0, len(cols)))]
+    pos = {i: j for j, i in enumerate(cols)}
+    m = len(cols)
+    pairs = _PairCounts(db, pos)
+    x = np.array([[i in t for i in cols] for t in db.transactions], np.int64)
+    xtx = x.T @ x
+    assert len(pairs.tids) == m
+    for j, i in enumerate(cols):
+        assert pairs.tids[j].tolist() == [t for t, row in enumerate(db.transactions) if i in row]
+        assert pairs.row(j).tolist() == xtx[j].tolist()
+    t = np.array(data.draw(st.lists(st.integers(0, len(db) - 1), min_size=1, unique=True)))
+    g = pairs.gather(t)
+    assert pairs.count(g).tolist() == x[t].sum(axis=0).tolist()
+    owner = pairs.owners(t)
+    assert len(owner) == len(g) == sum(len(db.transactions[tid]) for tid in t)
+    for tid, col in zip(owner.tolist(), g.tolist()):
+        row = db.transactions[tid]
+        # m stands for an item outside the columns
+        assert cols[col] in row if col < m else any(i not in pos for i in row)
