@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -74,6 +74,11 @@ class Selection(NamedTuple):
     counts: dict
 
 
+def _cdf(k: float, a_l: float, r_max: int) -> list:
+    """Pr[count <= r] for r = 0..r_max, the pmf prefix summed in order."""
+    return list(accumulate(nb_pmf_prefix(k, a_l, r_max).tolist()))
+
+
 def _precision(o: int, n_candidates: int, cum: list, rho: int) -> float:
     """(o - e) / o for o observed candidates at or above rho, e being the
     n_candidates * Pr[count >= rho] the model expects by chance; 0.0 when e
@@ -100,8 +105,7 @@ def predicted_precision(o_hist, n_candidates: int, k: float, a_l: float,
     o = sum(c for r, c in o_hist.items() if r >= rho)
     if o <= 0:
         return 0.0
-    cum = np.cumsum(nb_pmf_prefix(k, a_l, rho - 1)).tolist()
-    return _precision(o, n_candidates, cum, rho)
+    return _precision(o, n_candidates, _cdf(k, a_l, rho - 1), rho)
 
 
 def _threshold_scan(counts: dict, n_candidates: int, k: float, a_l: float,
@@ -122,7 +126,7 @@ def _threshold_scan(counts: dict, n_candidates: int, k: float, a_l: float,
     rs = sorted((r for r, c in counts.items() if c > 0 and r >= 1), reverse=True)
     if not rs:
         return None, None
-    cum = np.cumsum(nb_pmf_prefix(k, a_l, rs[0])).tolist()
+    cum = _cdf(k, a_l, rs[0])
     best = (None, None)
     o = 0
     for i, hi in enumerate(rs):
@@ -246,23 +250,31 @@ def nb_dfs(db: TransactionDatabase, config: MinerConfig,
                                              apc * sum(key[1]), pi)
         return found
 
-    def expand(l, txns, size):
+    # counter counts every item over txns, l's own items too, and counts is
+    # its sorted values, whose last `size` entries are l's items at the top
+    # count len(txns). A child whose item is in every row has its parent's
+    # rows, so it takes both over instead of projecting and counting again.
+    def expand(l, txns, size, counter=None, counts=None):
         if size >= depth:
             return
-        counter = Counter(chain.from_iterable(txns))
-        for i in l:
-            counter.pop(i)
-        if not counter:
+        if counter is None:
+            counter = Counter(chain.from_iterable(txns))
+            counts = sorted(counter.values())
+        key = (n_total - size, tuple(counts[:-size]))
+        if not key[1]:
             return
-        key = (n_total - size, tuple(sorted(counter.values())))
         sigma, prec = scans.get(key) or scan(key)
         if sigma is None:
             return
-        selected = [c for c, n in counter.items() if n >= sigma]
+        selected = [c for c, n in counter.items() if n >= sigma and c not in l]
         for lp in nb_gen(l, selected, theta, repo):
             (c,) = lp - l
-            results.append(MinedItemset(tuple(sorted(lp)), counter[c], sigma, prec))
-            expand(lp, [t for t in txns if c in t], size + 1)
+            n = counter[c]
+            results.append(MinedItemset(tuple(sorted(lp)), n, sigma, prec))
+            if n == len(txns):
+                expand(lp, txns, size + 1, counter, counts)
+            else:
+                expand(lp, [t for t in txns if c in t], size + 1)
 
     pos = {i: j for j, i in enumerate(items0)}
     pairs = _PairCounts(db, pos)

@@ -156,21 +156,28 @@ def nb_pmf_prefix(k: float, a: float, r_max: int) -> np.ndarray:
 
     Each term multiplies the previous by (k+r)/(r+1) * a/(1+a), seeded at
     Pr[0] = (1+a)^(-k); cheaper and just as accurate as the closed form.
-    When Pr[0] is below the smallest normal double, the terms are summed
-    as logs instead, so the later, representable terms keep their digits.
+    The recursion runs on Python floats, faster than numpy arrays for the
+    few dozen terms a threshold scan asks for, and every step rounds as
+    numpy's elementwise factors and ``cumprod`` would. When Pr[0] is below
+    the smallest normal double, the terms are summed as logs instead, so
+    the later, representable terms keep their digits.
     """
     if not (k > 0 and a > 0):
         raise ValueError(f"model parameters must be positive, got k={k}, a={a}")
     if r_max < 0:
         raise ValueError("r_max must be non-negative")
     log_p0 = -k * math.log1p(a)
-    if r_max == 0:
-        return np.array([math.exp(log_p0)])
-    j = np.arange(r_max)
-    factors = (k + j) / (j + 1) * (a / (1.0 + a))
-    if log_p0 < _LOG_MIN_NORMAL:
+    if log_p0 < _LOG_MIN_NORMAL and r_max > 0:
+        j = np.arange(r_max)
+        factors = (k + j) / (j + 1) * (a / (1.0 + a))
         return np.exp(np.cumsum(np.concatenate(([log_p0], np.log(factors)))))
-    return np.cumprod(np.concatenate(([math.exp(log_p0)], factors)))
+    q = a / (1.0 + a)
+    p = math.exp(log_p0)
+    terms = [p]
+    for j in range(r_max):
+        p *= (k + j) / (j + 1) * q
+        terms.append(p)
+    return np.array(terms)
 
 
 def nb_tail(k: float, a: float, rho: int) -> float:

@@ -22,6 +22,7 @@ seed therefore reproduces the same database and truth bit for bit.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 
@@ -124,7 +125,8 @@ def generate(config: GenConfig):
 
     weights = rng.exponential(1.0, config.n_patterns)
     weights /= weights.sum()
-    cumw = np.cumsum(weights)
+    # a list: bisect on Python floats is faster per draw than searchsorted
+    cumw = np.cumsum(weights).tolist()
 
     rows = []
     pending = None
@@ -140,7 +142,7 @@ def generate(config: GenConfig):
                 items = pending
                 pending = None
             else:
-                idx = int(np.searchsorted(cumw, rng.random(), side="right"))
+                idx = bisect.bisect_right(cumw, rng.random())
                 items = set(patterns[min(idx, config.n_patterns - 1)])
                 # corruption: keep dropping a random item while the draw says so
                 while items and rng.random() < config.corruption:

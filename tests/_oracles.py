@@ -2,18 +2,38 @@
 
 Everything here is deliberately written from the definitions, sharing no
 code with the package: pmf via math.lgamma, projection via subset
-filtering, candidate acceptance level by level.
+filtering, candidate acceptance level by level. The one exception is
+``oracle_pmf_prefix``, the pmf recursion on numpy arrays, kept to pin
+the package's recursion to it bit for bit.
 """
 
 import math
+import sys
 from collections import defaultdict
 from itertools import combinations
+
+import numpy as np
 
 
 def oracle_pmf(k, a, r):
     return math.exp(-k * math.log1p(a)
                     + math.lgamma(k + r) - math.lgamma(r + 1) - math.lgamma(k)
                     + r * (math.log(a) - math.log1p(a)))
+
+
+def oracle_pmf_prefix(k, a, r_max):
+    """pmf for r = 0..r_max by the forward recursion, on numpy arrays:
+    elementwise factors (k+r)/(r+1) * a/(1+a) and their cumulative product
+    from Pr[0] = (1+a)^(-k), or, when Pr[0] is below the smallest normal
+    double, the cumulative sum of their logs."""
+    log_p0 = -k * math.log1p(a)
+    if r_max == 0:
+        return np.array([math.exp(log_p0)])
+    j = np.arange(r_max)
+    factors = (k + j) / (j + 1) * (a / (1.0 + a))
+    if log_p0 < math.log(sys.float_info.min):
+        return np.exp(np.cumsum(np.concatenate(([log_p0], np.log(factors)))))
+    return np.cumprod(np.concatenate(([math.exp(log_p0)], factors)))
 
 
 def oracle_precision(cand_counts, n_candidates, k, a_l, rho):

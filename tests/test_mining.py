@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -305,20 +306,24 @@ def random_db_and_params(seed, max_items=12, max_txns=60):
 
 
 def test_nb_dfs_matches_level_wise_oracle():
-    checked = 0
+    checked = non_empty = 0
     for seed in range(25):
         db, params = random_db_and_params(seed)
         if db is None:
             continue
         for theta in (0.0, 0.5, 1.0):
-            for pi in (0.5, 0.9):
+            for pi in (0.3, 0.5, 0.9):
                 config = MinerConfig(params=params, pi=pi, theta=theta)
                 mined = nb_dfs(db, config)
                 got = {m.itemset(): m.freq for m in mined}
                 expect = oracle_nb_frequent(db, params, pi, theta)
                 assert got == expect, (seed, theta, pi)
                 checked += 1
-    assert checked >= 100
+                non_empty += bool(expect)
+    assert checked >= 200
+    # pi 0.9 mines nothing on these small databases, so the lower pis must
+    # give the comparisons something to compare
+    assert non_empty >= 50, non_empty
 
 
 def _params_for(db, k, extra_items):
@@ -528,6 +533,23 @@ def test_nb_dfs_scans_each_distinct_input_once(golden_db_and_params, monkeypatch
     assert len(set(scans)) == len(scans)
     # one nb_gen call per node that found a threshold, plus the singles
     assert len(scans) < (len(gen_calls) - 1) / 2
+
+
+def test_nb_dfs_reuses_counts_of_a_child_with_its_parents_rows(golden_db_and_params, monkeypatch):
+    # a child whose item is in every row of its parent has the parent's rows
+    # and takes the parent's counts instead of projecting and counting again
+    db, params = golden_db_and_params
+    builds = []
+
+    class CountingCounter(Counter):
+        def __init__(self, *args, **kwargs):
+            builds.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(mining, "Counter", CountingCounter)
+    mined = nb_dfs(db, MinerConfig(params=params, pi=0.95, theta=0.5))
+    # 1,281 builds for 3,434 records; without the reuse, 4,115
+    assert len(builds) < len(mined) / 2
 
 
 def _garbage_after(call) -> int:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nbminer.nbmodel import (
+    _LOG_MIN_NORMAL,
     ConvergenceError,
     FreqHistogram,
     NBParams,
@@ -22,6 +23,8 @@ from nbminer.nbmodel import (
     write_model,
 )
 from nbminer.transactions import TransactionDatabase
+
+from _oracles import oracle_pmf_prefix
 
 # Frozen oracle values: closed-form pmf evaluated with mpmath at 40 digits.
 PMF_ORACLE = [
@@ -76,6 +79,26 @@ def test_prefix_matches_direct_pmf():
         prefix = nb_pmf_prefix(k, a, r_max)
         direct = nb_pmf(k, a, np.arange(r_max + 1))
         assert np.allclose(prefix, direct, rtol=1e-9, atol=1e-250)
+
+
+def test_prefix_equals_numpy_recursion_exactly():
+    # the recursion runs on Python floats; each step must round as numpy's
+    # elementwise factors and cumprod do, so every term is bit for bit equal
+    rng = random.Random(11)
+    branches = {False: 0, True: 0}
+    for _ in range(1000):
+        if rng.random() < 0.5:
+            k, a = 10 ** rng.uniform(-2, 2), 10 ** rng.uniform(-3, 3)
+        else:
+            # Pr[0] = (1+a)^(-k) mostly below the smallest normal double
+            k, a = 10 ** rng.uniform(3, 5), 10 ** rng.uniform(-0.5, 2)
+        r_max = rng.choice([0, rng.randint(1, 40), rng.randint(41, 10_000)])
+        branches[-k * math.log1p(a) < _LOG_MIN_NORMAL] += 1
+        got = nb_pmf_prefix(k, a, r_max)
+        expect = oracle_pmf_prefix(k, a, r_max)
+        assert got.dtype == expect.dtype and got.shape == expect.shape
+        assert (got == expect).all(), (k, a, r_max)
+    assert min(branches.values()) >= 300, branches
 
 
 def test_pmf_sums_to_one():
