@@ -14,7 +14,6 @@ from .evaluation import (
     SweepEntry,
     allconf_runs,
     nb_runs,
-    positives_closure,
     read_sweep,
     score,
     support_runs,

@@ -14,7 +14,6 @@ table is directly plottable.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
@@ -29,12 +28,12 @@ __all__ = [
     "ALLCONF_GRID",
     "PI_GRID",
     "SUPPORT_GRID",
+    "ClosurePositives",
     "EvalReport",
     "SweepEntry",
     "allconf_runs",
     "nb_runs",
     "pi_grid_for_theta",
-    "positives_closure",
     "positives_for_mode",
     "read_sweep",
     "score",
@@ -79,28 +78,87 @@ def _truth_patterns(truth: GroundTruth | Iterable[Iterable[int]]) -> list[frozen
     return [frozenset(p) for p in truth]
 
 
-def positives_closure(truth: GroundTruth | Iterable[Iterable[int]]) -> frozenset[frozenset[int]]:
-    """All size >= 2 subsets of the ground truth patterns.
+class ClosurePositives:
+    """Closure mode's positives, every size >= 2 subset of a truth pattern,
+    held as one bitset of patterns per item rather than as itemsets.
 
-    Size-1 itemsets are never counted as positives: a single item is
-    not an association.
+    ``itemset in positives`` holds when the itemset has at least two
+    items and the AND of their bitsets is non-zero, that is when some
+    pattern holds them all. ``total`` counts the positives; it can pass
+    what ``len()`` may return, so there is no ``__len__``.
     """
-    out: set[frozenset[int]] = set()
-    for pattern in _truth_patterns(truth):
-        items = sorted(pattern)
-        for size in range(2, len(items) + 1):
-            out.update(map(frozenset, itertools.combinations(items, size)))
-    return frozenset(out)
+
+    __slots__ = ("masks", "total")
+
+    def __init__(self, patterns: Iterable[frozenset[int]]):
+        # a size-1 pattern holds no association, a repeated one no new subset;
+        # a pattern inside a larger one is skipped at once when it comes later
+        patterns = sorted(dict.fromkeys(p for p in patterns if len(p) >= 2), key=len, reverse=True)
+        masks: dict[int, int] = {}
+        for j, pattern in enumerate(patterns):
+            for item in pattern:
+                masks[item] = masks.get(item, 0) | 1 << j
+        self.masks = masks
+        self.total = sum(_first_held_subsets(pattern, masks, (1 << j) - 1)
+                         for j, pattern in enumerate(patterns))
+
+    def __contains__(self, itemset) -> bool:
+        if len(itemset) < 2:
+            return False
+        get = self.masks.get
+        held = -1
+        for item in itemset:
+            held &= get(item, 0)
+            if not held:
+                return False
+        return True
+
+
+def _first_held_subsets(pattern: frozenset[int], masks: Mapping[int, int], earlier: int) -> int:
+    """How many size >= 2 subsets of ``pattern`` no pattern in the bitset
+    ``earlier`` holds, so that each positive is counted at its first pattern.
+
+    The walk is depth-first over the subsets, carrying the AND of their
+    items' bitsets masked to ``earlier``. Once it is zero, no earlier
+    pattern holds the subset or any subset that adds later items, so the
+    whole branch, 2**rest sets, is counted at once. A branch whose largest
+    subset some earlier pattern holds is skipped. The walk thus visits
+    only subsets an earlier pattern holds, and their children.
+    """
+    # items few earlier patterns hold first, so the AND reaches zero early
+    bits = sorted((masks[item] & earlier for item in pattern), key=int.bit_count)
+    n = len(bits)
+    # held[i]: the earlier patterns that hold every item of bits[i:]
+    held = [earlier] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        held[i] = held[i + 1] & bits[i]
+    if held[0]:
+        return 0
+    count = 0
+    # (next item, AND of the subset so far, 1 for the empty subset)
+    stack = [(0, earlier, 1)]
+    while stack:
+        start, mask, empty = stack.pop()
+        for i in range(start, n):
+            m = mask & bits[i]
+            if not m:
+                # less the one size-1 set of a branch that starts at the top
+                count += (1 << (n - 1 - i)) - empty
+            elif not m & held[i + 1]:
+                stack.append((i + 1, m, 0))
+    return count
 
 
 def positives_for_mode(
     truth: GroundTruth | Iterable[Iterable[int]], scoring_mode: str
-) -> frozenset[frozenset[int]]:
-    """The positives set for a scoring mode: subset closure or the patterns."""
+) -> ClosurePositives | frozenset[frozenset[int]]:
+    """The positives for a scoring mode: the subset closure's index, or
+    the patterns of size >= 2 themselves."""
     _check_scoring_mode(scoring_mode)
+    patterns = _truth_patterns(truth)
     if scoring_mode == "closure":
-        return positives_closure(truth)
-    return frozenset(p for p in _truth_patterns(truth) if len(p) >= 2)
+        return ClosurePositives(patterns)
+    return frozenset(p for p in patterns if len(p) >= 2)
 
 
 def _normalize_mined(mined: Iterable) -> set[frozenset[int]]:
@@ -118,14 +176,14 @@ def score(
     truth: GroundTruth | Iterable[Iterable[int]],
     *,
     scoring_mode: str = "closure",
-    positives: frozenset[frozenset[int]] | None = None,
+    positives: ClosurePositives | frozenset[frozenset[int]] | None = None,
 ) -> EvalReport:
     """Score mined itemsets against the ground truth.
 
     ``mined`` entries may be MinedItemset records or plain item
-    collections; size-1 entries are dropped before scoring.  Pass a
-    precomputed ``positives`` set to skip the closure enumeration when
-    scoring many runs against one truth.
+    collections; size-1 entries are dropped before scoring.  Pass the
+    ``positives`` of ``positives_for_mode``, or a set of itemsets, to
+    build them once when scoring many runs against one truth.
     """
     if positives is None:
         positives = positives_for_mode(truth, scoring_mode)
@@ -141,13 +199,14 @@ def score(
         cell = by_size.setdefault(len(itemset), [0, 0])
         cell[0 if hit else 1] += 1
     fp = len(itemsets) - tp
+    total = positives.total if isinstance(positives, ClosurePositives) else len(positives)
 
     return EvalReport(
         true_positives=tp,
         false_positives=fp,
-        positives_total=len(positives),
+        positives_total=total,
         precision=tp / (tp + fp) if itemsets else None,
-        recall=tp / len(positives) if positives else None,
+        recall=tp / total if total else None,
         by_size={size: (t, f) for size, (t, f) in sorted(by_size.items())},
     )
 
@@ -222,8 +281,6 @@ def sweep(
             outcomes = list(pool.map(_run_in_worker, runners))
     else:
         outcomes = [_run(runner, db) for runner in runners]
-    # built only now, so the positives are not alive (and traced by the
-    # garbage collector) while the miners run
     positives = positives_for_mode(truth, scoring_mode)
     entries = []
     for (method, parameter, _), (status, payload) in zip(runs, outcomes):

@@ -36,6 +36,21 @@ def oracle_pmf_prefix(k, a, r_max):
     return np.cumprod(np.concatenate(([math.exp(log_p0)], factors)))
 
 
+def positives_closure(truth):
+    """All size >= 2 subsets of the truth's patterns, listed one by one.
+
+    ``truth`` is a GroundTruth, whose ``patterns`` are read, or a
+    collection of item collections. Size-1 itemsets are never positives:
+    a single item is not an association.
+    """
+    out = set()
+    for pattern in getattr(truth, "patterns", truth):
+        items = sorted(pattern)
+        for size in range(2, len(items) + 1):
+            out.update(map(frozenset, combinations(items, size)))
+    return frozenset(out)
+
+
 def oracle_precision(cand_counts, n_candidates, k, a_l, rho):
     o = sum(1 for v in cand_counts.values() if v >= rho)
     if o <= 0:

@@ -8,7 +8,7 @@ import pytest
 
 from nbminer.cli import main
 from nbminer.evaluation import allconf_runs, nb_runs, support_runs, sweep, write_sweep
-from nbminer.mining import MinerConfig, nb_dfs, read_itemsets
+from nbminer.mining import MinerConfig, nb_dfs, read_itemsets, write_itemsets
 from nbminer.nbmodel import fit_database, read_model
 from nbminer.synthgen import generate, preset_config, read_truth
 from nbminer.transactions import load_basket
@@ -202,6 +202,16 @@ def test_evaluate_report(small_dataset, tmp_path, capsys):
     maximal = dict(line.split("\t")
                    for line in capsys.readouterr().out.splitlines())
     assert int(maximal["positives_total"]) < int(fields["positives_total"])
+
+
+def test_evaluate_counts_positives_of_a_big_pattern(tmp_path, capsys):
+    truth, mined = tmp_path / "big.truth", tmp_path / "big.itemsets"
+    truth.write_text("1\t" + " ".join(map(str, range(40))) + "\n", encoding="utf-8")
+    write_itemsets(mined, [((0, 39), 3, 2, 0.9), ((0, 40), 3, 2, 0.9)])
+    assert main(["evaluate", "--mined", str(mined), "--truth", str(truth)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "positives_total\t1099511627735" in lines  # 2**40 - 41
+    assert "tp\t1" in lines and "fp\t1" in lines
 
 
 def test_benchmark_jobs_give_identical_tables(small_dataset, tmp_path, capsys):

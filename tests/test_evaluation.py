@@ -2,11 +2,15 @@
 
 import concurrent.futures
 import itertools
+import math
 import random
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import positives_closure
 from nbminer import evaluation
 from nbminer.baselines import mine_frequent
 from nbminer.evaluation import (
@@ -16,7 +20,7 @@ from nbminer.evaluation import (
     allconf_runs,
     nb_runs,
     pi_grid_for_theta,
-    positives_closure,
+    positives_for_mode,
     read_sweep,
     score,
     support_runs,
@@ -25,11 +29,25 @@ from nbminer.evaluation import (
 )
 from nbminer.mining import MinedItemset
 from nbminer.synthgen import GroundTruth
-from test_mining import random_db_and_params
+from test_mining import ID_RANGES, random_db_and_params
 
 
 def fs(*items):
     return frozenset(items)
+
+
+def assert_index_holds(truth, closure):
+    """``truth``'s closure index counts ``closure`` and holds exactly its
+    itemsets. The probes are every itemset of up to three ids drawn from
+    the truth's items and one foreign id, and every positive plus one id."""
+    index = positives_for_mode(truth, "closure")
+    assert index.total == len(closure)
+    universe = {i for pattern in getattr(truth, "patterns", truth) for i in pattern} | {-1}
+    probes = set(closure) | {s | {x} for s in closure for x in universe}
+    probes.update(frozenset(c) for size in range(4)
+                  for c in itertools.combinations(sorted(universe), size))
+    for itemset in probes:
+        assert (itemset in index) == (itemset in closure), sorted(itemset)
 
 
 def test_closure_of_one_triple():
@@ -37,23 +55,50 @@ def test_closure_of_one_triple():
     assert got == {fs(1, 2), fs(1, 3), fs(2, 3), fs(1, 2, 3)}
 
 
+def test_closure_index_of_one_triple():
+    assert positives_for_mode([{1, 2, 3}], "closure").total == 4
+    assert_index_holds([{1, 2, 3}], {fs(1, 2), fs(1, 3), fs(2, 3), fs(1, 2, 3)})
+
+
 def test_closure_drops_singletons():
     assert positives_closure([{4}, {9}]) == frozenset()
     assert positives_closure([{4}, {1, 2}]) == {fs(1, 2)}
 
 
-def test_closure_matches_brute_force_enumeration():
+def test_closure_index_drops_singletons():
+    assert positives_for_mode([{4}, {9}], "closure").total == 0
+    assert_index_holds([{4}, {9}], frozenset())
+    index = positives_for_mode([{4}, {1, 2}], "closure")
+    assert fs(1, 2) in index and fs(4) not in index and fs(1) not in index
+    assert index.total == 1
+    assert_index_holds([{4}, {1, 2}], {fs(1, 2)})
+
+
+def _random_truths():
     rng = random.Random(0)
     for _ in range(20):
-        truth = [
+        yield [
             frozenset(rng.sample(range(15), rng.randint(1, 6)))
             for _ in range(rng.randint(1, 5))
         ]
-        expect = set()
-        for pattern in truth:
-            for size in range(2, len(pattern) + 1):
-                expect.update(map(frozenset, itertools.combinations(pattern, size)))
-        assert positives_closure(truth) == expect
+
+
+def _brute_force_closure(truth):
+    expect = set()
+    for pattern in truth:
+        for size in range(2, len(pattern) + 1):
+            expect.update(map(frozenset, itertools.combinations(pattern, size)))
+    return expect
+
+
+def test_closure_matches_brute_force_enumeration():
+    for truth in _random_truths():
+        assert positives_closure(truth) == _brute_force_closure(truth)
+
+
+def test_closure_index_matches_brute_force_enumeration():
+    for truth in _random_truths():
+        assert_index_holds(truth, _brute_force_closure(truth))
 
 
 def test_closure_is_subset_closed_and_idempotent():
@@ -63,6 +108,80 @@ def test_closure_is_subset_closed_and_idempotent():
             for sub in itertools.combinations(itemset, size):
                 assert frozenset(sub) in closure
     assert positives_closure(closure) == closure
+
+
+def test_closure_index_is_subset_closed_and_idempotent():
+    truth = [{1, 2, 3, 4}, {3, 4, 5}]
+    index = positives_for_mode(truth, "closure")
+    closure = positives_closure(truth)
+    for itemset in closure:
+        assert itemset in index
+        for size in range(2, len(itemset)):
+            for sub in itertools.combinations(itemset, size):
+                assert frozenset(sub) in index
+    assert positives_for_mode(closure, "closure").total == index.total == len(closure)
+    assert_index_holds(truth, closure)
+    assert_index_holds(closure, closure)
+
+
+def test_closure_total_of_big_and_overlapping_patterns():
+    # listing these subsets one by one would not finish
+    assert score([], [range(40)]).positives_total == 2**40 - 41
+    # more positives than len() can return
+    report = score([fs(0, 69), fs(0, 70)], [range(70)])
+    assert report.positives_total == 2**70 - 71
+    assert report.true_positives == 1 and report.false_positives == 1
+    assert report.recall == 1 / (2**70 - 71)
+    # two patterns sharing 40 of their 41 items
+    shared = [range(41), [*range(40), 99]]
+    assert positives_for_mode(shared, "closure").total == (2**41 - 42) + (2**40 - 1)
+    eights = list(itertools.combinations(range(16), 8))
+    assert positives_for_mode(eights, "closure").total == 39_186
+    assert 39_186 == sum(math.comb(16, size) for size in range(2, 9))
+
+
+@st.composite
+def truth_and_mined(draw):
+    """A truth, as GroundTruth or a list that may repeat patterns, with
+    overlapping and size-1 patterns, and a mined list of its patterns'
+    subsets and other itemsets, with repeats, single items and records."""
+    ids = draw(st.sampled_from(ID_RANGES))
+    itemsets = st.frozensets(st.sampled_from(ids), min_size=1, max_size=len(ids))
+    patterns = draw(st.lists(itemsets, max_size=6))
+    if patterns:
+        patterns += draw(st.lists(st.sampled_from(patterns), max_size=2))
+        inside = st.sampled_from(patterns).flatmap(
+            lambda p: st.frozensets(st.sampled_from(sorted(p)), min_size=1))
+        itemsets = st.one_of(inside, itemsets)
+    mined = draw(st.lists(itemsets, max_size=12))
+    mined += draw(st.lists(st.sampled_from(mined), max_size=3)) if mined else []
+    as_rows = draw(st.lists(st.booleans(), min_size=len(mined), max_size=len(mined)))
+    mined = [MinedItemset(tuple(sorted(s)), 1, 1, 1.0) if row else s
+             for s, row in zip(mined, as_rows)]
+    if draw(st.booleans()):
+        distinct = set(patterns)
+        return GroundTruth({p: 1 / len(distinct) for p in distinct}), mined
+    return patterns, mined
+
+
+def test_score_matches_oracle_closure_property():
+    hits = {"closure": 0, "maximal": 0}
+
+    @settings(deadline=None, max_examples=300)
+    @given(truth_and_mined())
+    def check(case):
+        truth, mined = case
+        patterns = list(getattr(truth, "patterns", truth))
+        oracles = {"closure": positives_closure(truth),
+                   "maximal": frozenset(p for p in patterns if len(p) >= 2)}
+        for mode, oracle in oracles.items():
+            report = score(mined, truth, scoring_mode=mode)
+            assert report == score(mined, truth, scoring_mode=mode, positives=oracle)
+            assert report.positives_total == len(oracle)
+            hits[mode] += report.true_positives > 0
+
+    check()
+    assert hits["closure"] >= 100 and hits["maximal"] >= 50, hits
 
 
 def test_score_perfect_and_disjoint():
