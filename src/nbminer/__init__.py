@@ -2,16 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .baselines import (
-    FrequentItemset,
-    all_confidence,
-    confidence,
-    mine_allconf,
-    mine_frequent,
-)
+from .baselines import mine_allconf, mine_frequent
 from .evaluation import (
-    EvalReport,
-    SweepEntry,
     allconf_runs,
     nb_runs,
     read_sweep,
@@ -21,9 +13,7 @@ from .evaluation import (
     write_sweep,
 )
 from .mining import (
-    MinedItemset,
     MinerConfig,
-    Selection,
     find_threshold,
     nb_dfs,
     nb_gen,
@@ -35,17 +25,13 @@ from .mining import (
 from .nbmodel import (
     ConvergenceError,
     FreqHistogram,
-    GofResult,
     NBParams,
     UnderdispersedError,
-    expected_frequent_items,
     fit_database,
     fit_em,
     fit_moments,
     gof_chi2,
-    nb_pmf,
     nb_pmf_prefix,
-    nb_tail,
     read_model,
     trim_top,
     write_model,
@@ -63,6 +49,5 @@ from .transactions import (
     BasketFormatError,
     TransactionDatabase,
     load_basket,
-    support,
     write_basket,
 )

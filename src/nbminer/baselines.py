@@ -101,20 +101,6 @@ def mine_frequent(db: TransactionDatabase, min_support: float) -> list:
     return _mine_vertical(db, dict.fromkeys(db.item_freq, n), min_support)
 
 
-def all_confidence(db: TransactionDatabase, itemset) -> float:
-    """Support of the itemset over the largest support of its single items."""
-    z = frozenset(itemset)
-    if not z:
-        raise ValueError("all-confidence is undefined for the empty itemset")
-    if len(db) == 0:
-        raise ValueError("all-confidence is undefined on an empty database")
-    denom = max(db.item_freq.get(i, 0) for i in z)
-    if denom == 0:
-        return 0.0
-    freq = sum(1 for t in db.transactions if z.issubset(t))
-    return freq / denom
-
-
 def mine_allconf(db: TransactionDatabase, min_allconf: float) -> list:
     """All itemsets (size >= 2) with all-confidence >= min_allconf."""
     if not (0.0 < min_allconf <= 1.0):
@@ -124,17 +110,3 @@ def mine_allconf(db: TransactionDatabase, min_allconf: float) -> list:
     # each single item has all-confidence 1, so every item takes part
     return [fs for fs in _mine_vertical(db, db.item_freq, min_allconf)
             if len(fs.items) >= 2]
-
-
-def confidence(db: TransactionDatabase, antecedent, consequent_item: int) -> float:
-    """conf(antecedent -> {consequent_item}) = freq(both) / freq(antecedent)."""
-    l = frozenset(antecedent)
-    if consequent_item in l:
-        raise ValueError("consequent must not be part of the antecedent")
-    if len(db) == 0:
-        raise ValueError("confidence is undefined on an empty database")
-    freq_l = len(db) if not l else sum(1 for t in db.transactions if l.issubset(t))
-    if freq_l == 0:
-        raise ValueError("antecedent never occurs; confidence undefined")
-    both = l | {consequent_item}
-    return sum(1 for t in db.transactions if both.issubset(t)) / freq_l

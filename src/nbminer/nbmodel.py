@@ -55,10 +55,6 @@ class FreqHistogram:
     def from_database(cls, db: TransactionDatabase) -> "FreqHistogram":
         return cls(dict(Counter(db.item_freq.values())))
 
-    @classmethod
-    def from_frequencies(cls, freqs) -> "FreqHistogram":
-        return cls(dict(Counter(freqs)))
-
     def total_items(self):
         return sum(self.counts.values())
 
@@ -133,24 +129,6 @@ class GofResult(NamedTuple):
     p_value: float
 
 
-def nb_pmf(k: float, a: float, r):
-    """Pr[frequency = r] under the model, for an int r or an array of ints."""
-    if not (k > 0 and a > 0):
-        raise ValueError(f"model parameters must be positive, got k={k}, a={a}")
-    # scipy is imported where it is used: most commands never need it, and
-    # its import takes longer than the rest of the package's
-    from scipy.special import gammaln
-
-    r_arr = np.asarray(r)
-    if np.any(r_arr < 0):
-        raise ValueError("frequencies must be non-negative")
-    logp = (-k * math.log1p(a)
-            + gammaln(k + r_arr) - gammaln(r_arr + 1) - gammaln(k)
-            + r_arr * (math.log(a) - math.log1p(a)))
-    p = np.exp(logp)
-    return float(p) if np.isscalar(r) else p
-
-
 def nb_pmf_prefix(k: float, a: float, r_max: int) -> np.ndarray:
     """pmf values for r = 0..r_max, built by the forward recursion.
 
@@ -178,20 +156,6 @@ def nb_pmf_prefix(k: float, a: float, r_max: int) -> np.ndarray:
         p *= (k + j) / (j + 1) * q
         terms.append(p)
     return np.array(terms)
-
-
-def nb_tail(k: float, a: float, rho: int) -> float:
-    """Pr[frequency >= rho], clamped to [0, 1].
-
-    Computed as ``1 - sum(nb_pmf_prefix(k, a, rho - 1))``, so its absolute
-    error is about 1e-14 and a smaller tail is cancellation noise:
-    ``nb_tail(2000, 1.0, 2600)`` gives 1.8e-14 where the exact tail
-    (``scipy.special.betainc(2600, 2000, 0.5)``) is 4.0e-19.
-    """
-    if rho <= 0:
-        return 1.0
-    tail = 1.0 - nb_pmf_prefix(k, a, rho - 1).sum()
-    return min(1.0, max(0.0, float(tail)))
 
 
 def fit_moments(mean: float, variance: float):
@@ -306,11 +270,6 @@ def fit_database(db: TransactionDatabase, trim_fraction: float = 0.025,
     return params, trimmed
 
 
-def expected_frequent_items(params: NBParams, min_freq: int) -> float:
-    """Expected number of items reaching frequency >= min_freq by chance."""
-    return params.n_total * nb_tail(params.k, params.a, min_freq)
-
-
 def gof_chi2(hist: FreqHistogram, params: NBParams) -> GofResult:
     """Chi-square goodness of fit of the model against a frequency histogram.
 
@@ -344,6 +303,8 @@ def gof_chi2(hist: FreqHistogram, params: NBParams) -> GofResult:
     if df <= 0:
         raise ValueError(
             f"only {len(classes)} merged classes; need at least 4 for the test")
+    # scipy is imported where it is used: most commands never need it, and
+    # its import takes longer than the rest of the package's
     from scipy.special import chdtrc
 
     chi2 = float(sum((o - e) ** 2 / e for o, e in classes))

@@ -88,7 +88,8 @@ class GroundTruth:
 
     def __post_init__(self):
         total = math.fsum(self.patterns.values())
-        if self.patterns and abs(total - 1.0) > 1e-9:
+        # written so that a NaN total fails too
+        if self.patterns and not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"pattern weights sum to {total}, expected 1")
         for p in self.patterns:
             if not p:
@@ -197,7 +198,7 @@ def read_truth(path) -> GroundTruth:
                 items = frozenset(int(tok) for tok in fields[1].split())
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: unparseable line") from None
-            if w < 0 or not items:
+            if not (math.isfinite(w) and w >= 0) or not items:
                 raise ValueError(f"{path}:{lineno}: bad weight or empty pattern")
             patterns[items] = patterns.get(items, 0.0) + w
     if not patterns:

@@ -1,4 +1,4 @@
-"""Transaction databases: loading, support, and co-occurrence counting.
+"""Transaction databases: loading, writing, and co-occurrence counting.
 
 A transaction is a set of non-negative integer item ids. The basket file
 format is one transaction per line, item ids separated by whitespace;
@@ -106,16 +106,6 @@ def write_basket(db: TransactionDatabase, path) -> None:
         for t in db.transactions:
             fh.write(" ".join(map(str, t)))
             fh.write("\n")
-
-
-def support(db: TransactionDatabase, itemset) -> float:
-    """Fraction of transactions containing ``itemset``; 1.0 for the empty set."""
-    if len(db) == 0:
-        raise ValueError("support is undefined on an empty database")
-    z = frozenset(itemset)
-    if not z:
-        return 1.0
-    return sum(1 for t in db.transactions if z.issubset(t)) / len(db)
 
 
 class _PairCounts:

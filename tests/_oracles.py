@@ -1,10 +1,11 @@
 """Independent brute-force evaluators used as test oracles.
 
 Everything here is deliberately written from the definitions, sharing no
-code with the package: pmf via math.lgamma, projection via subset
-filtering, candidate acceptance level by level. The one exception is
-``oracle_pmf_prefix``, the pmf recursion on numpy arrays, kept to pin
-the package's recursion to it bit for bit.
+code with the package: pmf in closed form via math.lgamma (or scipy's
+gammaln, over an array), projection via subset filtering, candidate
+acceptance level by level. The one exception is ``oracle_pmf_prefix``,
+the pmf recursion on numpy arrays, kept to pin the package's recursion
+to it bit for bit.
 """
 
 import math
@@ -13,12 +14,20 @@ from collections import defaultdict
 from itertools import combinations
 
 import numpy as np
+from scipy.special import gammaln
 
 
 def oracle_pmf(k, a, r):
     return math.exp(-k * math.log1p(a)
                     + math.lgamma(k + r) - math.lgamma(r + 1) - math.lgamma(k)
                     + r * (math.log(a) - math.log1p(a)))
+
+
+def oracle_pmf_array(k, a, r):
+    """The closed-form pmf over an array of frequencies ``r``."""
+    return np.exp(-k * math.log1p(a)
+                  + gammaln(k + r) - gammaln(r + 1) - gammaln(k)
+                  + r * (math.log(a) - math.log1p(a)))
 
 
 def oracle_pmf_prefix(k, a, r_max):

@@ -20,11 +20,16 @@ import pytest
 from nbminer.baselines import mine_allconf, mine_frequent
 from nbminer.evaluation import nb_runs, score, support_runs, sweep
 from nbminer.mining import MinerConfig, find_threshold, nb_dfs, nb_select, predicted_precision
-from nbminer.nbmodel import fit_database, fit_moments, nb_pmf, nb_pmf_prefix
+from nbminer.nbmodel import fit_database, fit_moments, nb_pmf_prefix
 from nbminer.synthgen import generate, preset_config
 from nbminer.transactions import TransactionDatabase, write_basket
 
-from _oracles import oracle_allconf_sets, oracle_nb_frequent, oracle_support_sets
+from _oracles import (
+    oracle_allconf_sets,
+    oracle_nb_frequent,
+    oracle_pmf_array,
+    oracle_support_sets,
+)
 from test_mining import EXAMPLE_A, EXAMPLE_HIST, EXAMPLE_K, EXAMPLE_N, random_db_and_params
 
 GRID_THETAS = (0.0, 0.5, 1.0)
@@ -111,7 +116,7 @@ def test_criterion_03_pmf_recursion_matches_direct():
     for _ in range(200):
         k = 10.0 ** rng.uniform(-2, 1)       # (0.01, 10)
         a = 10.0 ** rng.uniform(-2, 3)       # (0.01, 1000)
-        direct = nb_pmf(k, a, r)
+        direct = oracle_pmf_array(k, a, r)
         prefix = nb_pmf_prefix(k, a, 10_000)
         # below the denormal floor both routes round to numerical zero
         live = direct > 1e-250

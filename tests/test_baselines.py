@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nbminer.baselines import (
-    FrequentItemset,
-    all_confidence,
-    confidence,
-    mine_allconf,
-    mine_frequent,
-)
+from nbminer.baselines import FrequentItemset, mine_allconf, mine_frequent
 from nbminer.mining import write_itemsets
 from nbminer.transactions import TransactionDatabase
 
@@ -60,16 +54,6 @@ def test_mine_frequent_validates():
         mine_frequent(TransactionDatabase([[1]]), 1.5)
 
 
-def test_all_confidence_values():
-    db = TransactionDatabase([[1, 2], [1, 2], [1], [1], [2, 3]])
-    # freq(1,2)=2, max single freq = freq(1)=4
-    assert all_confidence(db, [1, 2]) == pytest.approx(0.5)
-    assert all_confidence(db, [1]) == 1.0
-    assert all_confidence(db, [99]) == 0.0  # unobserved
-    with pytest.raises(ValueError):
-        all_confidence(db, [])
-
-
 def test_mine_allconf_matches_enumeration():
     for seed in range(12):
         db = random_db(seed)
@@ -91,16 +75,6 @@ def test_mine_allconf_is_downward_closed():
 def test_mine_allconf_only_size_two_plus():
     db = random_db(5)
     assert all(len(fs.items) >= 2 for fs in mine_allconf(db, 0.1))
-
-
-def test_confidence():
-    db = TransactionDatabase([[1, 2], [1, 2], [1, 3], [1], [2]])
-    assert confidence(db, [1], 2) == pytest.approx(0.5)
-    assert confidence(db, [], 1) == pytest.approx(0.8)  # empty antecedent: plain support
-    with pytest.raises(ValueError):
-        confidence(db, [9], 1)  # antecedent unobserved
-    with pytest.raises(ValueError):
-        confidence(db, [1, 2], 2)  # consequent inside antecedent
 
 
 def test_results_sorted_and_typed():

@@ -214,6 +214,15 @@ def test_evaluate_counts_positives_of_a_big_pattern(tmp_path, capsys):
     assert "tp\t1" in lines and "fp\t1" in lines
 
 
+def test_evaluate_rejects_non_finite_truth_weight(tmp_path, capsys):
+    truth, mined = tmp_path / "nan.truth", tmp_path / "nan.itemsets"
+    write_itemsets(mined, [((1, 2), 3, 2, 0.9)])
+    for weight in ("nan", "inf"):
+        truth.write_text(f"{weight}\t1 2 3\n", encoding="utf-8")
+        assert main(["evaluate", "--mined", str(mined), "--truth", str(truth)]) == 1
+        assert f"error: {truth}:1: " in capsys.readouterr().err
+
+
 def test_benchmark_jobs_give_identical_tables(small_dataset, tmp_path, capsys):
     basket, truth = small_dataset
     args = ["benchmark", "--basket", str(basket), "--truth", str(truth),
@@ -287,8 +296,9 @@ def test_module_invocation():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # every CLI call pays the import; scipy costs more than the rest of it
-    code = ("import sys, nbminer.cli; "
+    # every CLI call pays the import and builds the parser; scipy costs more
+    # than the rest of it, so only gof_chi2 imports it, when it is called
+    code = ("import sys, nbminer, nbminer.cli; nbminer.cli.build_parser(); "
             "print(any(m.partition('.')[0] == 'scipy' for m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -1,16 +1,42 @@
-"""Every module of the package, the tests and the demos uses each name it imports.
+"""Every module of the package, the tests and the demos uses each name it imports,
+and the package root exports exactly the names listed here.
 
-Package ``__init__.py`` files are skipped: their imports are re-exports.
+Package ``__init__.py`` files are skipped by the import scan: their imports
+are re-exports.
 """
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
 
+import nbminer
+
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for d in (ROOT / "src" / "nbminer", ROOT / "tests", ROOT / "demos")
                  for p in d.glob("*.py") if p.name != "__init__.py")
+
+
+# what a caller calls or builds as input; the records that calls return stay
+# importable from their modules. A new export is added here on purpose.
+EXPORTS = [
+    "BasketFormatError", "ConvergenceError", "FreqHistogram", "GenConfig",
+    "GroundTruth", "MinerConfig", "NBParams", "PRESETS", "TransactionDatabase",
+    "UnderdispersedError", "allconf_runs", "find_threshold", "fit_database",
+    "fit_em", "fit_moments", "generate", "gof_chi2", "load_basket",
+    "mine_allconf", "mine_frequent", "nb_dfs", "nb_gen", "nb_pmf_prefix",
+    "nb_runs", "nb_select", "predicted_precision", "preset_config",
+    "read_itemsets", "read_model", "read_sweep", "read_truth", "score",
+    "support_runs", "sweep", "trim_top", "write_basket", "write_itemsets",
+    "write_model", "write_sweep", "write_truth",
+]
+
+
+def test_root_exports_are_the_listed_names():
+    public = sorted(name for name, value in vars(nbminer).items()
+                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert public == EXPORTS
 
 
 def unused_imports(source: str) -> list:

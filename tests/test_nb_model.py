@@ -1,30 +1,29 @@
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from nbminer.mining import _cdf
 from nbminer.nbmodel import (
     _LOG_MIN_NORMAL,
     ConvergenceError,
     FreqHistogram,
     NBParams,
     UnderdispersedError,
-    expected_frequent_items,
     fit_database,
     fit_em,
     fit_moments,
     gof_chi2,
-    nb_pmf,
     nb_pmf_prefix,
-    nb_tail,
     read_model,
     trim_top,
     write_model,
 )
 from nbminer.transactions import TransactionDatabase
 
-from _oracles import oracle_pmf_prefix
+from _oracles import oracle_pmf_array, oracle_pmf_prefix
 
 # Frozen oracle values: closed-form pmf evaluated with mpmath at 40 digits.
 PMF_ORACLE = [
@@ -37,28 +36,38 @@ PMF_ORACLE = [
 ]
 
 
+def pmf(k, a, r):
+    """Pr[frequency = r], the last term of the recursion's prefix."""
+    return nb_pmf_prefix(k, a, r)[r]
+
+
+def scan_tail(k, a, rho):
+    """Pr[frequency >= rho] as the threshold scan computes it, for rho >= 1."""
+    return min(1.0, max(0.0, 1.0 - _cdf(k, a, rho - 1)[-1]))
+
+
 def test_pmf_matches_oracle():
     for k, a, r, expect in PMF_ORACLE:
-        assert nb_pmf(k, a, r) == pytest.approx(expect, rel=1e-12)
+        assert pmf(k, a, r) == pytest.approx(expect, rel=1e-12)
 
 
 def test_pmf_zero_term_is_closed_form():
-    assert nb_pmf(0.844, 118.141, 0) == pytest.approx(119.141 ** -0.844, rel=1e-12)
+    assert pmf(0.844, 118.141, 0) == pytest.approx(119.141 ** -0.844, rel=1e-12)
 
 
 def test_pmf_geometric_case():
     # k=1, a=1 reduces to a geometric halving sequence
     for r in range(10):
-        assert nb_pmf(1.0, 1.0, r) == pytest.approx(0.5 ** (r + 1), rel=1e-12)
+        assert pmf(1.0, 1.0, r) == pytest.approx(0.5 ** (r + 1), rel=1e-12)
 
 
 def test_pmf_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        nb_pmf(0.0, 1.0, 1)
+        pmf(0.0, 1.0, 1)
     with pytest.raises(ValueError):
-        nb_pmf(1.0, -2.0, 1)
+        pmf(1.0, -2.0, 1)
     with pytest.raises(ValueError):
-        nb_pmf(1.0, 1.0, -1)
+        pmf(1.0, 1.0, -1)
 
 
 def test_prefix_is_the_recursion():
@@ -77,7 +86,7 @@ def test_prefix_matches_direct_pmf():
         a = rng.uniform(0.01, 1000.0)
         r_max = rng.randint(1, 2000)
         prefix = nb_pmf_prefix(k, a, r_max)
-        direct = nb_pmf(k, a, np.arange(r_max + 1))
+        direct = oracle_pmf_array(k, a, np.arange(r_max + 1))
         assert np.allclose(prefix, direct, rtol=1e-9, atol=1e-250)
 
 
@@ -124,18 +133,18 @@ def test_tail_where_pr0_underflows():
     from scipy.special import betainc
     k, a = 2000.0, 1.0
     for rho in (1500, 2000, 2100, 2300, 2600):
-        assert nb_tail(k, a, rho) == pytest.approx(betainc(rho, k, a / (1 + a)),
-                                                   rel=1e-9, abs=1e-12)
+        assert scan_tail(k, a, rho) == pytest.approx(betainc(rho, k, a / (1 + a)),
+                                                     rel=1e-9, abs=1e-12)
     prefix = nb_pmf_prefix(k, a, 2600)
-    direct = nb_pmf(k, a, np.arange(2601))
+    direct = oracle_pmf_array(k, a, np.arange(2601))
     assert np.allclose(prefix, direct, rtol=1e-9, atol=1e-250)
 
 
 def test_tail():
-    assert nb_tail(1.0, 1.0, 0) == 1.0
-    assert nb_tail(1.0, 1.0, 2) == pytest.approx(0.25, rel=1e-12)
-    assert nb_tail(0.844, 1.164, 11) == pytest.approx(0.000741913822059697288, rel=1e-9)
-    tails = [nb_tail(0.7, 3.0, rho) for rho in range(40)]
+    assert scan_tail(1.0, 1.0, 1) == pytest.approx(0.5, rel=1e-12)
+    assert scan_tail(1.0, 1.0, 2) == pytest.approx(0.25, rel=1e-12)
+    assert scan_tail(0.844, 1.164, 11) == pytest.approx(0.000741913822059697288, rel=1e-9)
+    tails = [scan_tail(0.7, 3.0, rho) for rho in range(1, 40)]
     assert all(x >= y for x, y in zip(tails, tails[1:]))
     assert all(0.0 <= t <= 1.0 for t in tails)
 
@@ -238,7 +247,7 @@ def test_fit_em_recovers_simulated_model():
     lam = rng.gamma(shape=k_true, scale=a_true, size=n_items)
     freqs = rng.poisson(lam)
     observed = freqs[freqs > 0]
-    hist = FreqHistogram.from_frequencies(int(f) for f in observed)
+    hist = FreqHistogram(dict(Counter(int(f) for f in observed)))
     params = fit_em(hist)
     assert params.em_iterations >= 1
     assert params.k == pytest.approx(k_true, rel=0.15)
@@ -275,14 +284,6 @@ def test_rescaling():
     params = NBParams(k=0.8, a=100.0, n_total=500, incidence_total=20000,
                       transaction_count=1000, em_iterations=2, trimmed_items=0)
     assert params.a_per_incidence == 100.0 / 20000
-
-
-def test_expected_frequent_items():
-    params = NBParams(k=1.0, a=1.0, n_total=100, incidence_total=1000,
-                      transaction_count=50, em_iterations=0, trimmed_items=0)
-    # tail at 2 of the geometric case is 0.25
-    assert expected_frequent_items(params, 2) == pytest.approx(25.0, rel=1e-12)
-    assert expected_frequent_items(params, 0) == 100.0
 
 
 def test_gof_exact_match_gives_zero():

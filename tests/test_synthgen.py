@@ -128,9 +128,10 @@ def test_truth_read_renormalizes_and_merges(tmp_path):
 
 def test_truth_read_rejects_garbage(tmp_path):
     path = tmp_path / "truth.tsv"
-    for text in ("0.5 1 2\n", "x\t1 2\n", "0.5\t\n", "-0.5\t1 2\n", "0.5\t1 a\n"):
+    for text in ("0.5 1 2\n", "x\t1 2\n", "0.5\t\n", "-0.5\t1 2\n", "0.5\t1 a\n",
+                 "nan\t1 2\n", "inf\t1 2\n"):
         path.write_text(text, encoding="utf-8")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=":1: "):
             read_truth(path)
 
 
@@ -139,4 +140,6 @@ def test_truth_validation():
         GroundTruth({frozenset({1}): 0.4, frozenset({2}): 0.4})
     with pytest.raises(ValueError):
         GroundTruth({frozenset(): 1.0})
+    with pytest.raises(ValueError):
+        GroundTruth({frozenset({1}): float("nan")})
     assert len(GroundTruth({})) == 0

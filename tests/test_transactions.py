@@ -10,7 +10,6 @@ from nbminer.transactions import (
     TransactionDatabase,
     _PairCounts,
     load_basket,
-    support,
     write_basket,
 )
 from nbminer.mining import nb_select
@@ -78,16 +77,6 @@ def test_basket_round_trip(tmp_path):
     assert load_basket(p) == db
 
 
-def test_support_basics():
-    db = TransactionDatabase([[1, 2], [1], [2, 3], [1, 2, 3]])
-    assert support(db, []) == 1.0
-    assert support(db, [1]) == 0.75
-    assert support(db, [1, 2]) == 0.5
-    assert support(db, [9]) == 0.0
-    with pytest.raises(ValueError):
-        support(TransactionDatabase([]), [1])
-
-
 def test_extension_counts_excludes_base_incidences():
     # 201 transactions containing item 7, their sizes summing to 599:
     # the candidate counts of {7} sum to 599 - 201 = 398.
@@ -120,8 +109,6 @@ def test_pipeline_matches_brute_force():
                 counts[c] = counts.get(c, 0) + 1
         assert got == counts
         assert sum(got.values()) == sum(len(t) - len(l) for t in rows)
-        for c, n in counts.items():
-            assert support(db, l | {c}) == n / len(db)
 
 
 @settings(deadline=None, max_examples=200)
