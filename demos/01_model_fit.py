@@ -11,14 +11,7 @@ the fitted parameters alongside the observed and expected frequency
 histograms so the fit quality is visible at a glance.
 """
 
-from nbminer import (
-    FreqHistogram,
-    fit_database,
-    generate,
-    gof_chi2,
-    nb_pmf_prefix,
-    preset_config,
-)
+from nbminer import fit_database, generate, gof_chi2, nb_pmf_prefix, preset_config
 
 db, _ = generate(preset_config("artif-2", n_transactions=10_000, seed=7))
 print(f"database: {len(db)} transactions, {len(db.item_freq)} distinct items, "
@@ -44,9 +37,8 @@ for lo, hi in zip(edges, edges[1:]):
     exp = params.n_total * nb_pmf_prefix(params.k, params.a, hi - 1)[lo:].sum()
     print(f"  {lo:4d}-{hi - 1:<4d}     {obs:10.0f} {exp:16.1f}")
 
-zero = params.n_total - round(hist.total_items())
-gof_hist = FreqHistogram({0: float(zero), **hist.counts}) if zero > 0 else hist
-gof = gof_chi2(gof_hist, params)
+# gof_chi2 counts the model's unseen items in the zero class itself
+gof = gof_chi2(hist, params)
 print(f"\ngoodness of fit: chi2={gof.chi2:.1f} on {gof.df} degrees of freedom "
       f"(p={gof.p_value:.3g})")
 print("The planted patterns make the data slightly non-random on purpose;")

@@ -19,18 +19,18 @@ from . import __version__
 from .baselines import mine_allconf, mine_frequent
 from .evaluation import allconf_runs, nb_runs, score, support_runs, sweep, write_sweep
 from .mining import MinerConfig, nb_dfs, read_itemsets, write_itemsets
-from .nbmodel import FreqHistogram, fit_database, gof_chi2, read_model, write_model
+from .nbmodel import fit_database, gof_chi2, read_model, write_model
 from .synthgen import GenConfig, PRESETS, generate, preset_config, read_truth, write_truth
 from .transactions import load_basket, write_basket
 
 __all__ = ["main"]
 
 
-def _write_manifest(anchor_path: str, command: str, args: argparse.Namespace,
-                    seed, inputs, outputs, started_utc: str, elapsed: float) -> None:
+def _write_manifest(args: argparse.Namespace, seed, inputs, outputs,
+                    started_utc: str, elapsed: float) -> None:
     flags = {k: v for k, v in vars(args).items() if k != "func"}
     manifest = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
         "flags": flags,
         "seed": seed,
@@ -39,13 +39,9 @@ def _write_manifest(anchor_path: str, command: str, args: argparse.Namespace,
         "started_utc": started_utc,
         "elapsed_seconds": elapsed,
     }
-    with open(f"{anchor_path}.manifest.json", "w", encoding="utf-8") as fh:
+    with open(f"{outputs[0]}.manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat()
 
 
 def _fit_flags(sub: argparse.ArgumentParser) -> None:
@@ -59,30 +55,23 @@ def _fit_flags(sub: argparse.ArgumentParser) -> None:
                      help="EM iteration cap (default 1000)")
 
 
-def cmd_fit(args: argparse.Namespace) -> int:
-    started, t0 = _now(), time.perf_counter()
+def cmd_fit(args: argparse.Namespace):
     db = load_basket(args.basket)
     params, hist = fit_database(db, trim_fraction=args.trim,
                                 n_known=args.total_items, max_iter=args.max_iter)
     write_model(params, args.out)
     print(f"fitted: k={params.k:.6g} a={params.a:.6g} n_total={params.n_total} "
           f"em_iterations={params.em_iterations} trimmed_items={params.trimmed_items}")
-    # the zero class is part of the fitted model, so it joins the test
-    zero = params.n_total - round(hist.total_items())
-    gof_hist = FreqHistogram({0: float(zero), **hist.counts}) if zero > 0 else hist
     try:
-        gof = gof_chi2(gof_hist, params)
+        gof = gof_chi2(hist, params)
     except ValueError as exc:
         print(f"warning: goodness of fit not computable: {exc}", file=sys.stderr)
     else:
         print(f"gof: chi2={gof.chi2:.6g} df={gof.df} p={gof.p_value:.6g}")
-    _write_manifest(args.out, "fit", args, None, [args.basket], [args.out],
-                    started, time.perf_counter() - t0)
-    return 0
+    return None, [args.basket], [args.out]
 
 
-def cmd_mine(args: argparse.Namespace) -> int:
-    started, t0 = _now(), time.perf_counter()
+def cmd_mine(args: argparse.Namespace):
     db = load_basket(args.basket)
     inputs = [args.basket]
     if args.model:
@@ -96,14 +85,11 @@ def cmd_mine(args: argparse.Namespace) -> int:
     write_itemsets(args.out, mined)
     max_size = max((len(m.items) for m in mined), default=0)
     print(f"mined {len(mined)} itemsets (max size {max_size}) -> {args.out}")
-    _write_manifest(args.out, "mine", args, None, inputs, [args.out],
-                    started, time.perf_counter() - t0)
-    return 0
+    return None, inputs, [args.out]
 
 
-def cmd_mine_baseline(args: argparse.Namespace) -> int:
+def cmd_mine_baseline(args: argparse.Namespace):
     """``mine-support`` or ``mine-allconf``, as ``args.command`` names it."""
-    started, t0 = _now(), time.perf_counter()
     db = load_basket(args.basket)
     if args.command == "mine-support":
         miner, threshold = mine_frequent, args.min_support
@@ -113,9 +99,7 @@ def cmd_mine_baseline(args: argparse.Namespace) -> int:
     write_itemsets(args.out, [(f.items, f.freq, threshold, None) for f in found])
     max_size = max((len(f.items) for f in found), default=0)
     print(f"mined {len(found)} itemsets (max size {max_size}) -> {args.out}")
-    _write_manifest(args.out, args.command, args, None, [args.basket], [args.out],
-                    started, time.perf_counter() - t0)
-    return 0
+    return None, [args.basket], [args.out]
 
 
 # generator flag name -> GenConfig field
@@ -145,8 +129,7 @@ def _gen_config(args: argparse.Namespace) -> GenConfig:
     return GenConfig(**overrides)
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
-    started, t0 = _now(), time.perf_counter()
+def cmd_generate(args: argparse.Namespace):
     config = _gen_config(args)
     db, truth = generate(config)
     write_basket(db, args.out)
@@ -154,9 +137,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     mean = db.incidence_total / len(db)
     print(f"generated {len(db)} transactions (mean size {mean:.4g}) and "
           f"{len(truth)} patterns, seed {config.seed}")
-    _write_manifest(args.out, "generate", args, config.seed, [],
-                    [args.out, args.truth], started, time.perf_counter() - t0)
-    return 0
+    return config.seed, [], [args.out, args.truth]
 
 
 def _report_lines(report) -> list:
@@ -172,28 +153,24 @@ def _report_lines(report) -> list:
     ]
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    started, t0 = _now(), time.perf_counter()
+def cmd_evaluate(args: argparse.Namespace):
     mined = [row[0] for row in read_itemsets(args.mined)]
     truth = read_truth(args.truth)
     report = score(mined, truth, scoring_mode=args.scoring_mode)
     text = "\n".join(_report_lines(report)) + "\n"
     print(text, end="")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _write_manifest(args.out, "evaluate", args, None,
-                        [args.mined, args.truth], [args.out],
-                        started, time.perf_counter() - t0)
-    return 0
+    if not args.out:
+        return None, [], []
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return None, [args.mined, args.truth], [args.out]
 
 
 def _csv_floats(text: str) -> tuple:
     return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
 
-def cmd_benchmark(args: argparse.Namespace) -> int:
-    started, t0 = _now(), time.perf_counter()
+def cmd_benchmark(args: argparse.Namespace):
     methods = tuple(tok.strip() for tok in args.methods.split(",") if tok.strip())
     unknown = set(methods) - {"nb", "support", "allconf"}
     if unknown:
@@ -238,9 +215,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     write_sweep(args.out, entries)
     done = sum(e.report is not None for e in entries)
     print(f"benchmark: {done}/{len(entries)} grid points -> {args.out}")
-    _write_manifest(args.out, "benchmark", args, seed, inputs, [args.out],
-                    started, time.perf_counter() - t0)
-    return 0
+    return seed, inputs, [args.out]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,8 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    started, t0 = datetime.now(timezone.utc).isoformat(), time.perf_counter()
     try:
-        return args.func(args)
+        # every command returns (seed, inputs, outputs); the manifest goes
+        # next to its first output, and a command without outputs has none
+        seed, inputs, outputs = args.func(args)
+        if outputs:
+            _write_manifest(args, seed, inputs, outputs, started, time.perf_counter() - t0)
+        return 0
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

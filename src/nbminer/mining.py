@@ -19,6 +19,7 @@ of co-occurrence counts, since those inputs fix the scan's result.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain
@@ -113,33 +114,35 @@ def predicted_precision(o_hist, n_candidates: int, k: float, a_l: float,
     return _precision(o, n_candidates, _cdf(k, a_l, rho - 1), rho)
 
 
-def _threshold_scan(counts: dict, n_candidates: int, k: float, a_l: float,
-                    pi: float):
+def _threshold_scan(counts, n_candidates: int, k: float, a_l: float, pi: float):
     """Scan rho downward from the highest observed count; return the last
     rho whose predicted precision is still >= pi, with that precision.
 
     Stops at the first failing rho (precision is not monotone in rho, and
     the useful threshold is the lowest one in the run of passes that starts
     at the top). Returns (None, None) when even the top count fails.
-    ``counts`` maps a count to how many candidates have it.
+    ``counts`` holds every candidate's count, each at least 1, in
+    ascending order.
 
     Between two adjacent observed counts the number of observed candidates
     is fixed while the model's tail can only grow as rho falls, so there the
-    precision can only fall. The scan walks the observed counts from the
-    top and bisects the first stretch that fails inside itself.
+    precision can only fall. The scan walks the distinct counts from the
+    top, finding where each begins with ``bisect_left``, and bisects the
+    first stretch that fails inside itself.
     """
-    rs = sorted((r for r, c in counts.items() if c > 0 and r >= 1), reverse=True)
-    if not rs:
+    if not counts:
         return None, None
-    cum = _cdf(k, a_l, rs[0])
+    cum = _cdf(k, a_l, counts[-1])
     best = (None, None)
-    o = 0
-    for i, hi in enumerate(rs):
-        o += counts[hi]
+    end = len(counts)
+    while end:
+        hi = counts[end - 1]
+        end = bisect_left(counts, hi, 0, end)
+        o = len(counts) - end
         prec = _precision(o, n_candidates, cum, hi)
         if prec < pi:
             break
-        lo = rs[i + 1] + 1 if i + 1 < len(rs) else 1
+        lo = counts[end - 1] + 1 if end else 1
         low = _precision(o, n_candidates, cum, lo)
         if low >= pi:
             best = (lo, low)
@@ -164,7 +167,8 @@ def find_threshold(o_hist, n_candidates: int, k: float, a_l: float,
         raise ValueError(f"pi must be in [0, 1], got {pi}")
     if n_candidates <= 0:
         raise ValueError(f"n_candidates must be positive, got {n_candidates}")
-    sigma, _ = _threshold_scan(o_hist, n_candidates, k, a_l, pi)
+    counts = sorted(chain.from_iterable([r] * c for r, c in o_hist.items() if r >= 1))
+    sigma, _ = _threshold_scan(counts, n_candidates, k, a_l, pi)
     return sigma
 
 
@@ -187,7 +191,7 @@ def nb_select(db: TransactionDatabase, itemset, params: NBParams,
     if n_cand <= 0 or not counts:
         return Selection(frozenset(), None, None, counts)
     a_l = params.a_per_incidence * sum(counts.values())
-    sigma, prec = _threshold_scan(Counter(counts.values()), n_cand, params.k, a_l, pi)
+    sigma, prec = _threshold_scan(sorted(counts.values()), n_cand, params.k, a_l, pi)
     if sigma is None:
         return Selection(frozenset(), None, None, counts)
     chosen = frozenset(c for c, n in counts.items() if n >= sigma)
@@ -251,8 +255,7 @@ def nb_dfs(db: TransactionDatabase, config: MinerConfig,
     # called as `scans.get(key) or scan(key)`: every cached scan is a
     # non-empty tuple, so this runs on a miss only
     def scan(key):
-        found = scans[key] = _threshold_scan(Counter(key[1]), key[0], k,
-                                             apc * sum(key[1]), pi)
+        found = scans[key] = _threshold_scan(key[1], key[0], k, apc * sum(key[1]), pi)
         return found
 
     # counter counts every item over txns, l's own items too, and counts is

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -58,9 +58,6 @@ class FreqHistogram:
     def total_items(self):
         return sum(self.counts.values())
 
-    def total_incidence(self):
-        return sum(r * c for r, c in self.counts.items())
-
     def max_frequency(self) -> int:
         return max((r for r, c in self.counts.items() if c > 0), default=0)
 
@@ -81,11 +78,11 @@ class NBParams:
     """A fitted baseline model plus the bookkeeping needed to reuse it.
 
     ``a`` is the scale at the full size of the fitted database;
-    ``a_per_incidence = a / incidence_total`` is the size-free form that
-    gets rescaled to conditional databases, so it must not underflow to 0.
-    ``n_total`` as ``fit_em`` sets it counts the fitted items plus the zero
-    class; items removed by trimming are not added back, so a trimmed fit
-    has fewer items than its basket.
+    ``a_per_incidence = a / incidence_total``, derived here, is the
+    size-free form that gets rescaled to conditional databases, so it must
+    not underflow to 0. ``n_total`` as ``fit_database`` sets it counts the
+    fitted items plus the zero class; items removed by trimming are not
+    added back, so a trimmed fit has fewer items than its basket.
     """
 
     k: float
@@ -95,7 +92,7 @@ class NBParams:
     transaction_count: int
     em_iterations: int
     trimmed_items: int
-    a_per_incidence: float = None
+    a_per_incidence: float = field(init=False)
 
     def __post_init__(self):
         if not (self.k > 0 and math.isfinite(self.k)):
@@ -110,17 +107,12 @@ class NBParams:
             raise ValueError(f"transaction_count must be positive, got {self.transaction_count}")
         if self.em_iterations < 0 or self.trimmed_items < 0:
             raise ValueError("em_iterations and trimmed_items must be non-negative")
-        derived = self.a / self.incidence_total
-        if self.a_per_incidence is None:
-            object.__setattr__(self, "a_per_incidence", derived)
-        elif not math.isclose(self.a_per_incidence, derived, rel_tol=1e-9):
-            raise ValueError(
-                f"inconsistent a_per_incidence {self.a_per_incidence!r} "
-                f"(a/incidence_total = {derived!r})")
-        if not self.a_per_incidence > 0:
+        a_per_incidence = self.a / self.incidence_total
+        if not a_per_incidence > 0:
             # every conditional scale a_l is a_per_incidence times a count
             raise ValueError(f"a_per_incidence must be positive, got "
-                             f"{self.a_per_incidence!r} (a/incidence_total underflows)")
+                             f"{a_per_incidence!r} (a/incidence_total underflows)")
+        object.__setattr__(self, "a_per_incidence", a_per_incidence)
 
 
 class GofResult(NamedTuple):
@@ -195,40 +187,29 @@ def trim_top(hist: FreqHistogram, fraction: float):
     return FreqHistogram(counts), removed
 
 
-def fit_em(hist: FreqHistogram, n_known: int = None, *, max_iter: int = 1000,
-           incidence_total: int = None, transaction_count: int = None,
-           trimmed_items: int = 0) -> NBParams:
+def fit_em(hist: FreqHistogram, n_known: int = None, *, max_iter: int = 1000):
     """Fit (k, a) to an observed frequency histogram, estimating the zero class.
 
-    ``hist`` holds observed items only (no frequency-0 class). When
-    ``n_known`` is given the zero class is ``n_known - observed`` and a
-    single moments pass is done; otherwise the zero class z is iterated,
+    Returns (k, a, n_total, em_iterations). ``hist`` holds observed items
+    only (no frequency-0 class). When ``n_known`` is given the zero class
+    is ``n_known - observed`` and a single moments pass is done (0
+    iterations); otherwise the zero class z is iterated,
     z <- (observed + z) * (1+a)^(-k), refitting each pass, until z moves
     by less than 0.5.
-
-    ``incidence_total`` and ``transaction_count`` default to what the
-    histogram itself can tell (its own incidence sum, and the largest
-    observed frequency as the minimum consistent transaction count); pass
-    the real database totals when you have them.
     """
     if 0 in hist.counts:
         raise ValueError("observed histogram must not contain a zero frequency class")
     observed = hist.total_items()
     if observed < 2:
         raise ValueError("need at least 2 observed items to fit")
-    inc = hist.total_incidence() if incidence_total is None else incidence_total
-    txc = hist.max_frequency() if transaction_count is None else transaction_count
 
     if n_known is not None:
         zero = n_known - observed
         if zero < 0:
             raise ValueError(
                 f"n_known={n_known} is below the observed item count {observed}")
-        mean, var = hist.moments(extra_zeros=zero)
-        k, a = fit_moments(mean, var)
-        return NBParams(k=k, a=a, n_total=n_known, incidence_total=inc,
-                        transaction_count=txc, em_iterations=0,
-                        trimmed_items=trimmed_items)
+        k, a = fit_moments(*hist.moments(extra_zeros=zero))
+        return k, a, n_known, 0
 
     z_prev = 0.0
     iterations = 0
@@ -243,10 +224,7 @@ def fit_em(hist: FreqHistogram, n_known: int = None, *, max_iter: int = 1000,
             raise ConvergenceError(
                 f"zero-class estimate did not settle in {max_iter} iterations")
         z_prev = z
-    n_total = observed + int(math.floor(z + 0.5))
-    return NBParams(k=k, a=a, n_total=n_total, incidence_total=inc,
-                    transaction_count=txc, em_iterations=iterations,
-                    trimmed_items=trimmed_items)
+    return k, a, observed + int(math.floor(z + 0.5)), iterations
 
 
 def fit_database(db: TransactionDatabase, trim_fraction: float = 0.025,
@@ -263,23 +241,27 @@ def fit_database(db: TransactionDatabase, trim_fraction: float = 0.025,
     """
     hist = FreqHistogram.from_database(db)
     trimmed, removed = trim_top(hist, trim_fraction)
-    params = fit_em(trimmed, n_known, max_iter=max_iter,
-                    incidence_total=db.incidence_total,
-                    transaction_count=db.transaction_count,
-                    trimmed_items=removed)
+    k, a, n_total, iterations = fit_em(trimmed, n_known, max_iter=max_iter)
+    params = NBParams(k=k, a=a, n_total=n_total, incidence_total=db.incidence_total,
+                      transaction_count=len(db), em_iterations=iterations,
+                      trimmed_items=removed)
     return params, trimmed
 
 
 def gof_chi2(hist: FreqHistogram, params: NBParams) -> GofResult:
     """Chi-square goodness of fit of the model against a frequency histogram.
 
-    ``hist`` should include the zero class if the model estimated one.
-    Adjacent frequency classes are merged upward from r=0 until each merged
-    class has expected count >= 5; the final class is open-ended (all
-    remaining probability mass) and is folded into its neighbor when its
-    expectation falls short. df = merged classes - 1 - 2 fitted parameters.
+    The model's items that ``hist`` does not hold (``n_total`` less its
+    rounded total) join class 0 as never seen. Adjacent frequency classes
+    are merged upward from r=0 until each merged class has expected count
+    >= 5; the final class is open-ended (all remaining probability mass)
+    and is folded into its neighbor when its expectation falls short.
+    df = merged classes - 1 - 2 fitted parameters.
     """
     counts = hist.counts
+    unseen = params.n_total - round(hist.total_items())
+    if unseen > 0:
+        counts = {**counts, 0: counts.get(0, 0) + unseen}
     r_hi = hist.max_frequency()
     pmf = nb_pmf_prefix(params.k, params.a, r_hi)
     n = params.n_total
@@ -349,4 +331,10 @@ def read_model(path) -> NBParams:
         if not float(v).is_integer():
             raise ValueError(f"{path}: {key} must be an integer, got {v}")
         values[key] = int(v)
-    return NBParams(**values)
+    stated = values.pop("a_per_incidence")
+    params = NBParams(**values)
+    if not math.isclose(stated, params.a_per_incidence, rel_tol=1e-9):
+        raise ValueError(
+            f"{path}: inconsistent a_per_incidence {stated!r} "
+            f"(a/incidence_total = {params.a_per_incidence!r})")
+    return params

@@ -87,16 +87,25 @@ class GroundTruth:
     patterns: dict
 
     def __post_init__(self):
-        total = math.fsum(self.patterns.values())
-        # written so that a NaN total fails too
-        if self.patterns and not abs(total - 1.0) <= 1e-9:
-            raise ValueError(f"pattern weights sum to {total}, expected 1")
-        for p in self.patterns:
+        for p, w in self.patterns.items():
             if not p:
                 raise ValueError("patterns must be non-empty itemsets")
+            if not (math.isfinite(w) and w >= 0):
+                raise ValueError(f"pattern weights must be finite and non-negative, got {w!r}")
+        total = _weight_sum(self.patterns)
+        if self.patterns and abs(total - 1.0) > 1e-9:
+            raise ValueError(f"pattern weights sum to {total}, expected 1")
 
     def __len__(self):
         return len(self.patterns)
+
+
+def _weight_sum(patterns: dict) -> float:
+    """The exact sum of the weights rounded once; inf when it overflows."""
+    try:
+        return math.fsum(patterns.values())
+    except OverflowError:
+        return math.inf
 
 
 def generate(config: GenConfig):
@@ -203,8 +212,8 @@ def read_truth(path) -> GroundTruth:
             patterns[items] = patterns.get(items, 0.0) + w
     if not patterns:
         return GroundTruth({})
-    total = math.fsum(patterns.values())
-    if total <= 0:
+    total = _weight_sum(patterns)
+    if not 0 < total < math.inf:
         raise ValueError(f"{path}: pattern weights sum to {total}")
     if abs(total - 1.0) > 1e-12:
         patterns = {p: w / total for p, w in patterns.items()}

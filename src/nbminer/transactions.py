@@ -55,10 +55,6 @@ class TransactionDatabase:
         db._init_from_rows(tuple(rows))
         return db
 
-    @property
-    def transaction_count(self) -> int:
-        return len(self.transactions)
-
     def __len__(self) -> int:
         return len(self.transactions)
 

@@ -223,6 +223,14 @@ def test_evaluate_rejects_non_finite_truth_weight(tmp_path, capsys):
         assert f"error: {truth}:1: " in capsys.readouterr().err
 
 
+def test_evaluate_rejects_truth_weights_whose_sum_overflows(tmp_path, capsys):
+    truth, mined = tmp_path / "huge.truth", tmp_path / "huge.itemsets"
+    write_itemsets(mined, [((1, 2), 3, 2, 0.9)])
+    truth.write_text("1e308\t1 2\n1e308\t3 4\n", encoding="utf-8")
+    assert main(["evaluate", "--mined", str(mined), "--truth", str(truth)]) == 1
+    assert f"error: {truth}: " in capsys.readouterr().err
+
+
 def test_benchmark_jobs_give_identical_tables(small_dataset, tmp_path, capsys):
     basket, truth = small_dataset
     args = ["benchmark", "--basket", str(basket), "--truth", str(truth),

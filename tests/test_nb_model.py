@@ -213,21 +213,20 @@ def test_trim_top_rejects_fraction():
 def test_fit_em_with_n_known_is_single_pass():
     hist = FreqHistogram({1: 50, 2: 25, 3: 10, 6: 5, 12: 3})
     observed = hist.total_items()
-    params = fit_em(hist, n_known=observed + 20)
-    assert params.em_iterations == 0
-    assert params.n_total == observed + 20
+    k, a, n_total, iterations = fit_em(hist, n_known=observed + 20)
+    assert iterations == 0
+    assert n_total == observed + 20
     mean, var = hist.moments(extra_zeros=20)
-    k, a = fit_moments(mean, var)
-    assert params.k == k and params.a == a
+    assert (k, a) == fit_moments(mean, var)
 
 
 def test_fit_em_n_known_equal_to_observed():
     hist = FreqHistogram({1: 50, 2: 25, 3: 10, 6: 5, 12: 3})
-    params = fit_em(hist, n_known=hist.total_items())
-    assert params.n_total == hist.total_items()
-    assert params.em_iterations == 0
+    k, a, n_total, iterations = fit_em(hist, n_known=hist.total_items())
+    assert n_total == hist.total_items()
+    assert iterations == 0
     mean, var = hist.moments()
-    assert (params.k, params.a) == fit_moments(mean, var)
+    assert (k, a) == fit_moments(mean, var)
 
 
 def test_fit_em_errors():
@@ -248,12 +247,12 @@ def test_fit_em_recovers_simulated_model():
     freqs = rng.poisson(lam)
     observed = freqs[freqs > 0]
     hist = FreqHistogram(dict(Counter(int(f) for f in observed)))
-    params = fit_em(hist)
-    assert params.em_iterations >= 1
-    assert params.k == pytest.approx(k_true, rel=0.15)
-    assert params.a == pytest.approx(a_true, rel=0.15)
-    assert params.n_total == pytest.approx(n_items, rel=0.05)
-    assert params.n_total >= hist.total_items()
+    k, a, n_total, iterations = fit_em(hist)
+    assert iterations >= 1
+    assert k == pytest.approx(k_true, rel=0.15)
+    assert a == pytest.approx(a_true, rel=0.15)
+    assert n_total == pytest.approx(n_items, rel=0.05)
+    assert n_total >= hist.total_items()
 
 
 def test_fit_em_convergence_cap():
@@ -308,6 +307,16 @@ def test_gof_detects_mismatch():
     assert res.p_value < 1e-6
 
 
+def test_gof_counts_unseen_items_in_class_zero():
+    # the model holds 1000 items, the observed histogram 640 of them
+    params = NBParams(k=1.0, a=1.0, n_total=1000, incidence_total=10000,
+                      transaction_count=500, em_iterations=0, trimmed_items=0)
+    observed = FreqHistogram({r: 125 - 10 * r for r in range(1, 9)})
+    with_zero = FreqHistogram({0: 360, **observed.counts})
+    assert round(with_zero.total_items()) == params.n_total
+    assert gof_chi2(observed, params) == gof_chi2(with_zero, params)
+
+
 def test_gof_requires_enough_classes():
     params = NBParams(k=1.0, a=1.0, n_total=10, incidence_total=100,
                       transaction_count=50, em_iterations=0, trimmed_items=0)
@@ -359,6 +368,13 @@ def test_model_file_errors(tmp_path):
         "em_iterations = 0\ntrimmed_items = 0\n")
     with pytest.raises(ValueError, match="a_per_incidence must be positive"):
         read_model(path)
+    # a_per_incidence must be a / incidence_total
+    path.write_text(
+        "k = 1.0\na = 1.0\na_per_incidence = 0.5\nn_total = 10\n"
+        "incidence_total = 100\ntransaction_count = 10\n"
+        "em_iterations = 0\ntrimmed_items = 0\n")
+    with pytest.raises(ValueError, match=r"bad\.model: inconsistent a_per_incidence"):
+        read_model(path)
 
 
 def test_nbparams_validation():
@@ -368,10 +384,10 @@ def test_nbparams_validation():
     with pytest.raises(ValueError):
         NBParams(k=1.0, a=1.0, n_total=0, incidence_total=100,
                  transaction_count=10, em_iterations=0, trimmed_items=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # derived from a / incidence_total, not given
         NBParams(k=1.0, a=1.0, n_total=10, incidence_total=100,
                  transaction_count=10, em_iterations=0, trimmed_items=0,
-                 a_per_incidence=0.5)  # inconsistent with a / incidence_total
+                 a_per_incidence=0.01)
     with pytest.raises(ValueError, match="a_per_incidence must be positive"):
         NBParams(k=1.0, a=1e-320, n_total=10, incidence_total=10**6,
                  transaction_count=10, em_iterations=0, trimmed_items=0)

@@ -142,4 +142,8 @@ def test_truth_validation():
         GroundTruth({frozenset(): 1.0})
     with pytest.raises(ValueError):
         GroundTruth({frozenset({1}): float("nan")})
+    with pytest.raises(ValueError, match="non-negative"):
+        GroundTruth({frozenset({1, 2}): 1.5, frozenset({3}): -0.5})
+    with pytest.raises(ValueError, match="sum to inf"):  # the sum overflows
+        GroundTruth({frozenset({1}): 1e308, frozenset({2}): 1e308})
     assert len(GroundTruth({})) == 0

@@ -37,7 +37,7 @@ def test_construction_normalizes():
     assert db.transactions == ((1, 2, 3), (5,), ())
     assert db.item_freq == {1: 1, 2: 1, 3: 1, 5: 1}
     assert db.incidence_total == 4
-    assert db.transaction_count == 3
+    assert len(db) == 3
 
 
 def test_construction_rejects_bad_ids():
