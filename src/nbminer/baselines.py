@@ -22,35 +22,22 @@ counted as the bits of t_P & bits[x] & bits[y], and only when the pair
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
-from .transactions import TransactionDatabase, _PairCounts
-
-
-class FrequentItemset(NamedTuple):
-    items: tuple
-    freq: int
-
-
-def _bitset(tids, n: int) -> int:
-    """The Python int with bit t set for each transaction t in ``tids``."""
-    row = np.zeros(n, bool)
-    row[tids] = True
-    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+from .mining import MinedItemset
+from .transactions import TransactionDatabase, _PairCounts, _bitset
 
 
 def _mine_vertical(db: TransactionDatabase, weight: dict, threshold: float) -> list:
     """Every itemset whose frequency f satisfies
     ``f / max(weight[i] for i in itemset) >= threshold``, sorted by size
-    then items.
+    then items, as ``MinedItemset(items, f, threshold, None)`` rows.
     """
     freq = db.item_freq
     ids = sorted(i for i, f in freq.items() if f / weight[i] >= threshold)
     out = [((i,), freq[i]) for i in ids]
     if len(ids) < 2:
-        return [FrequentItemset(*rec) for rec in out]
+        return [MinedItemset(items, f, threshold, None) for items, f in out]
     m = len(ids)
     w = np.array([weight[i] for i in ids], np.int64)
     pairs = _PairCounts(db, {i: j for j, i in enumerate(ids)})
@@ -88,11 +75,11 @@ def _mine_vertical(db: TransactionDatabase, weight: dict, threshold: float) -> l
         if len(cls) > 1:
             grow((ids[j],), bits[j], w[j], cls)
     out.sort(key=lambda rec: (len(rec[0]), rec[0]))
-    return [FrequentItemset(*rec) for rec in out]
+    return [MinedItemset(items, f, threshold, None) for items, f in out]
 
 
 def mine_frequent(db: TransactionDatabase, min_support: float) -> list:
-    """All itemsets (size >= 1) with support >= min_support, with frequencies."""
+    """All itemsets (size >= 1) with support >= min_support, as MinedItemset rows."""
     if not (0.0 < min_support <= 1.0):
         raise ValueError(f"min_support must be in (0, 1], got {min_support}")
     n = len(db)
@@ -102,7 +89,7 @@ def mine_frequent(db: TransactionDatabase, min_support: float) -> list:
 
 
 def mine_allconf(db: TransactionDatabase, min_allconf: float) -> list:
-    """All itemsets (size >= 2) with all-confidence >= min_allconf."""
+    """All itemsets (size >= 2) with all-confidence >= min_allconf, as MinedItemset rows."""
     if not (0.0 < min_allconf <= 1.0):
         raise ValueError(f"min_allconf must be in (0, 1], got {min_allconf}")
     if len(db) == 0:

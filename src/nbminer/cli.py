@@ -17,7 +17,8 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .baselines import mine_allconf, mine_frequent
-from .evaluation import allconf_runs, nb_runs, score, support_runs, sweep, write_sweep
+from .evaluation import (SCORING_MODES, allconf_runs, nb_runs, score, support_runs, sweep,
+                         write_sweep)
 from .mining import MinerConfig, nb_dfs, read_itemsets, write_itemsets
 from .nbmodel import fit_database, gof_chi2, read_model, write_model
 from .synthgen import GenConfig, PRESETS, generate, preset_config, read_truth, write_truth
@@ -71,6 +72,12 @@ def cmd_fit(args: argparse.Namespace):
     return None, [args.basket], [args.out]
 
 
+def _write_mined(out: str, mined: list) -> None:
+    write_itemsets(out, mined)
+    max_size = max((len(m.items) for m in mined), default=0)
+    print(f"mined {len(mined)} itemsets (max size {max_size}) -> {out}")
+
+
 def cmd_mine(args: argparse.Namespace):
     db = load_basket(args.basket)
     inputs = [args.basket]
@@ -82,9 +89,7 @@ def cmd_mine(args: argparse.Namespace):
                                  n_known=args.total_items, max_iter=args.max_iter)
     mined = nb_dfs(db, MinerConfig(params, pi=args.pi, theta=args.theta),
                    max_size=args.max_size)
-    write_itemsets(args.out, mined)
-    max_size = max((len(m.items) for m in mined), default=0)
-    print(f"mined {len(mined)} itemsets (max size {max_size}) -> {args.out}")
+    _write_mined(args.out, mined)
     return None, inputs, [args.out]
 
 
@@ -95,10 +100,7 @@ def cmd_mine_baseline(args: argparse.Namespace):
         miner, threshold = mine_frequent, args.min_support
     else:
         miner, threshold = mine_allconf, args.min_allconf
-    found = miner(db, threshold)
-    write_itemsets(args.out, [(f.items, f.freq, threshold, None) for f in found])
-    max_size = max((len(f.items) for f in found), default=0)
-    print(f"mined {len(found)} itemsets (max size {max_size}) -> {args.out}")
+    _write_mined(args.out, miner(db, threshold))
     return None, [args.basket], [args.out]
 
 
@@ -154,9 +156,8 @@ def _report_lines(report) -> list:
 
 
 def cmd_evaluate(args: argparse.Namespace):
-    mined = [row[0] for row in read_itemsets(args.mined)]
-    truth = read_truth(args.truth)
-    report = score(mined, truth, scoring_mode=args.scoring_mode)
+    report = score(read_itemsets(args.mined), read_truth(args.truth),
+                   scoring_mode=args.scoring_mode)
     text = "\n".join(_report_lines(report)) + "\n"
     print(text, end="")
     if not args.out:
@@ -280,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("evaluate", help="score a mined itemset file against ground truth")
     p.add_argument("--mined", required=True)
     p.add_argument("--truth", required=True)
-    p.add_argument("--scoring-mode", choices=("closure", "maximal"), default="closure")
+    p.add_argument("--scoring-mode", choices=SCORING_MODES, default="closure")
     p.add_argument("--out", help="also write the report to this file")
     p.set_defaults(func=cmd_evaluate)
 
@@ -300,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "restricted per theta)")
     p.add_argument("--support-grid", default=None)
     p.add_argument("--allconf-grid", default=None)
-    p.add_argument("--scoring-mode", choices=("closure", "maximal"), default="closure")
+    p.add_argument("--scoring-mode", choices=SCORING_MODES, default="closure")
     p.add_argument("--trim", type=float, default=0.025)
     p.add_argument("--jobs", type=int, default=1,
                    help="run grid points in this many processes")

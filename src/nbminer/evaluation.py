@@ -7,9 +7,9 @@ whenever the pattern fires.  ``scoring_mode="maximal"`` restricts
 positives to the patterns themselves for comparison.
 
 ``sweep`` runs a list of mining configurations over one database,
-sequentially or across worker processes, and scores each, recording
-mined count and maximal itemset size alongside the report so the output
-table is directly plottable.
+sequentially or across worker processes, each grid point mined and scored
+in one call where it runs, recording mined count and maximal itemset size
+alongside the report so the output table is directly plottable.
 """
 
 from __future__ import annotations
@@ -22,11 +22,12 @@ from .baselines import mine_allconf, mine_frequent
 from .mining import MinerConfig, nb_dfs
 from .nbmodel import NBParams
 from .synthgen import GroundTruth
-from .transactions import TransactionDatabase
+from .transactions import TransactionDatabase, _bitset
 
 __all__ = [
     "ALLCONF_GRID",
     "PI_GRID",
+    "SCORING_MODES",
     "SUPPORT_GRID",
     "ClosurePositives",
     "EvalReport",
@@ -47,12 +48,12 @@ PI_GRID = (0.999, 0.99, 0.95, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1)
 SUPPORT_GRID = (0.01, 0.005, 0.004, 0.003, 0.002, 0.0015, 0.0013, 0.001, 0.0007, 0.0005)
 ALLCONF_GRID = (0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05, 0.04, 0.03, 0.02, 0.01)
 
-_SCORING_MODES = ("closure", "maximal")
+SCORING_MODES = ("closure", "maximal")
 
 
 def _check_scoring_mode(scoring_mode: str) -> None:
-    if scoring_mode not in _SCORING_MODES:
-        raise ValueError(f"scoring_mode must be one of {_SCORING_MODES}, got {scoring_mode!r}")
+    if scoring_mode not in SCORING_MODES:
+        raise ValueError(f"scoring_mode must be one of {SCORING_MODES}, got {scoring_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -72,12 +73,6 @@ class EvalReport:
     by_size: Mapping[int, tuple[int, int]]
 
 
-def _truth_patterns(truth: GroundTruth | Iterable[Iterable[int]]) -> list[frozenset[int]]:
-    if isinstance(truth, GroundTruth):
-        return list(truth.patterns)
-    return [frozenset(p) for p in truth]
-
-
 class ClosurePositives:
     """Closure mode's positives, every size >= 2 subset of a truth pattern,
     held as one bitset of patterns per item rather than as itemsets.
@@ -94,11 +89,11 @@ class ClosurePositives:
         # a size-1 pattern holds no association, a repeated one no new subset;
         # a pattern inside a larger one is skipped at once when it comes later
         patterns = sorted(dict.fromkeys(p for p in patterns if len(p) >= 2), key=len, reverse=True)
-        masks: dict[int, int] = {}
+        held: dict[int, list[int]] = {}
         for j, pattern in enumerate(patterns):
             for item in pattern:
-                masks[item] = masks.get(item, 0) | 1 << j
-        self.masks = masks
+                held.setdefault(item, []).append(j)
+        self.masks = masks = {item: _bitset(js, len(patterns)) for item, js in held.items()}
         self.total = sum(_first_held_subsets(pattern, masks, (1 << j) - 1)
                          for j, pattern in enumerate(patterns))
 
@@ -155,20 +150,13 @@ def positives_for_mode(
     """The positives for a scoring mode: the subset closure's index, or
     the patterns of size >= 2 themselves."""
     _check_scoring_mode(scoring_mode)
-    patterns = _truth_patterns(truth)
+    if isinstance(truth, GroundTruth):
+        patterns = list(truth.patterns)
+    else:
+        patterns = [frozenset(p) for p in truth]
     if scoring_mode == "closure":
         return ClosurePositives(patterns)
     return frozenset(p for p in patterns if len(p) >= 2)
-
-
-def _normalize_mined(mined: Iterable) -> set[frozenset[int]]:
-    out: set[frozenset[int]] = set()
-    for entry in mined:
-        items = getattr(entry, "items", entry)
-        itemset = frozenset(items)
-        if len(itemset) >= 2:
-            out.add(itemset)
-    return out
 
 
 def score(
@@ -189,7 +177,12 @@ def score(
         positives = positives_for_mode(truth, scoring_mode)
     else:
         _check_scoring_mode(scoring_mode)
-    itemsets = _normalize_mined(mined)
+    return _report(mined, positives)
+
+
+def _report(mined: Iterable, positives) -> EvalReport:
+    """``score``'s report of ``mined`` against positives already built."""
+    itemsets = {s for s in (frozenset(getattr(m, "items", m)) for m in mined) if len(s) >= 2}
 
     by_size: dict[int, list[int]] = {}
     tp = 0
@@ -232,24 +225,30 @@ Runner = Callable[[TransactionDatabase], Iterable]
 RunSpec = tuple[str, float, Runner]
 
 
-def _run(runner: Runner, db: TransactionDatabase) -> tuple[str, object]:
-    """("ok", item collections) or ("error", "Type: message") for one run."""
+def _entry(run: RunSpec, db: TransactionDatabase, positives) -> SweepEntry:
+    """Mine and score one grid point; a run that raises gives the entry
+    that holds its "Type: message"."""
+    method, parameter, runner = run
     try:
-        return "ok", [getattr(entry, "items", entry) for entry in runner(db)]
+        mined = runner(db)
     except Exception as exc:
-        return "error", f"{type(exc).__name__}: {exc}"
+        return SweepEntry(method, parameter, 0, 0, None, f"{type(exc).__name__}: {exc}")
+    report = _report(mined, positives)
+    return SweepEntry(method, parameter, report.true_positives + report.false_positives,
+                      max(report.by_size, default=0), report)
 
 
-_WORKER_DB: TransactionDatabase | None = None
+# (db, positives), given to each worker process once
+_WORKER_ARGS: tuple | None = None
 
 
-def _init_worker(db: TransactionDatabase) -> None:
-    global _WORKER_DB
-    _WORKER_DB = db
+def _init_worker(db: TransactionDatabase, positives) -> None:
+    global _WORKER_ARGS
+    _WORKER_ARGS = db, positives
 
 
-def _run_in_worker(runner: Runner) -> tuple[str, object]:
-    return _run(runner, _WORKER_DB)
+def _entry_in_worker(run: RunSpec) -> SweepEntry:
+    return _entry(run, *_WORKER_ARGS)
 
 
 def sweep(
@@ -260,38 +259,26 @@ def sweep(
     scoring_mode: str = "closure",
     jobs: int = 1,
 ) -> list[SweepEntry]:
-    """Run and score each (method, parameter, runner) against ``db``.
+    """Mine and score each (method, parameter, runner) against ``db``.
 
-    With ``jobs > 1`` and more than one run, the runs go to
-    ``min(jobs, len(runs))`` worker processes, each given ``db`` once;
-    runners must then be picklable (the ``*_runs`` helpers' are).
-    Entries keep the order of ``runs`` either way. A failing run is
-    recorded with its error message and the sweep continues with the
-    remaining grid points.
+    The positives are built first, so an invalid ``scoring_mode`` fails
+    before any run; each grid point is then one call that returns its
+    SweepEntry. With ``jobs > 1`` and more than one run, those calls run in
+    ``min(jobs, len(runs))`` worker processes, each given ``db`` and the
+    positives once; runners must then be picklable (the ``*_runs``
+    helpers' are). Entries keep the order of ``runs`` either way. A failing
+    run is recorded with its error message and the sweep goes on.
     """
-    _check_scoring_mode(scoring_mode)
-    runners = [runner for _, _, runner in runs]
-    # a process pool starts all of its workers at the first submit
-    workers = min(jobs, len(runners))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=(db,)) as pool:
-            outcomes = list(pool.map(_run_in_worker, runners))
-    else:
-        outcomes = [_run(runner, db) for runner in runners]
     positives = positives_for_mode(truth, scoring_mode)
-    entries = []
-    for (method, parameter, _), (status, payload) in zip(runs, outcomes):
-        if status == "error":
-            entries.append(SweepEntry(method, parameter, 0, 0, None, payload))
-            continue
-        report = score(payload, truth, scoring_mode=scoring_mode, positives=positives)
-        entries.append(SweepEntry(method, parameter,
-                                  report.true_positives + report.false_positives,
-                                  max(report.by_size, default=0), report))
-    return entries
+    # a process pool starts all of its workers at the first submit
+    workers = min(jobs, len(runs))
+    if workers <= 1:
+        return [_entry(run, db, positives) for run in runs]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                             initargs=(db, positives)) as pool:
+        return list(pool.map(_entry_in_worker, runs))
 
 
 def pi_grid_for_theta(theta: float, grid: Sequence[float] = PI_GRID) -> tuple[float, ...]:

@@ -47,12 +47,13 @@ class MinerConfig:
 
 
 class MinedItemset(NamedTuple):
-    """An accepted itemset and the local evidence that admitted it: one row
-    of the itemset file.
+    """An accepted itemset and the evidence that admitted it: one row of
+    the itemset file, the record every miner returns.
 
-    ``sigma_freq`` is the local frequency threshold of the subset whose
-    expansion emitted this itemset; ``predicted_precision`` is the model's
-    precision estimate at that threshold.
+    For nb, ``sigma_freq`` is the local frequency threshold of the subset
+    whose expansion emitted this itemset and ``predicted_precision`` the
+    model's precision estimate at that threshold. A baseline row carries
+    its miner's global threshold (a fraction) and no precision (None).
     """
 
     items: tuple
@@ -158,13 +159,17 @@ def _threshold_scan(counts, n_candidates: int, k: float, a_l: float, pi: float):
     return best
 
 
+def _check_pi(pi: float) -> None:
+    if not (0.0 <= pi <= 1.0):
+        raise ValueError(f"pi must be in [0, 1], got {pi}")
+
+
 def find_threshold(o_hist, n_candidates: int, k: float, a_l: float,
                    pi: float) -> Optional[int]:
     """Local frequency threshold for precision target pi, or None if even
     the highest observed count cannot reach it. ``o_hist`` maps
     co-occurrence counts to how many candidates showed that count."""
-    if not (0.0 <= pi <= 1.0):
-        raise ValueError(f"pi must be in [0, 1], got {pi}")
+    _check_pi(pi)
     if n_candidates <= 0:
         raise ValueError(f"n_candidates must be positive, got {n_candidates}")
     counts = sorted(chain.from_iterable([r] * c for r, c in o_hist.items() if r >= 1))
@@ -183,6 +188,7 @@ def nb_select(db: TransactionDatabase, itemset, params: NBParams,
     exists, when no transaction holds the itemset with another item, or
     when the model has no candidates left (n_total <= |itemset|).
     """
+    _check_pi(pi)
     l = frozenset(itemset)
     counts = Counter(chain.from_iterable(t for t in db.transactions if l.issubset(t)))
     for i in l:
@@ -324,11 +330,11 @@ def nb_dfs(db: TransactionDatabase, config: MinerConfig,
 def write_itemsets(path, records) -> None:
     """Write itemset records as `ids TAB freq TAB threshold TAB precision`.
 
-    Records are (items, freq, threshold, precision) rows, MinedItemset
-    among them. A None threshold/precision leaves the field empty (baseline
-    miners have no per-itemset precision; their global threshold goes in
-    the third column). Both are written with 12 significant digits, which
-    leaves an integer threshold (below 10**12) as its digits.
+    Records are (items, freq, threshold, precision) rows: the MinedItemsets
+    of nb_dfs, mine_frequent or mine_allconf, or plain tuples. A None
+    threshold/precision leaves the field empty. Both are written with 12
+    significant digits, which leaves an integer threshold (below 10**12)
+    as its digits.
     """
     with open(path, "w", encoding="utf-8") as fh:
         for items, freq, sigma, prec in records:
@@ -338,7 +344,7 @@ def write_itemsets(path, records) -> None:
 
 
 def read_itemsets(path) -> list:
-    """Read an itemset file back into (items, freq, threshold, precision) tuples.
+    """Read an itemset file back into MinedItemset rows, equal to those written.
 
     An integer threshold (nb's local sigma) comes back as an int; any other
     (a baseline's global fraction) as a float. A malformed line raises
@@ -355,9 +361,10 @@ def read_itemsets(path) -> list:
                 raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields")
             ids, freq, sigma, prec = fields
             try:
-                out.append((tuple(int(tok) for tok in ids.split()), int(freq),
-                            None if not sigma else int(sigma) if sigma.isdigit() else float(sigma),
-                            float(prec) if prec else None))
+                out.append(MinedItemset(
+                    tuple(int(tok) for tok in ids.split()), int(freq),
+                    None if not sigma else int(sigma) if sigma.isdigit() else float(sigma),
+                    float(prec) if prec else None))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out

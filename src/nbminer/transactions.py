@@ -156,3 +156,11 @@ class _PairCounts:
         """Row j of X.T @ X: for each column, how many transactions hold it
         together with column j. Column j must occur in some transaction."""
         return self.count(self.gather(self.tids[j]))
+
+
+def _bitset(bits, n: int) -> int:
+    """The Python int with bit b set for each b in ``bits`` (each below ``n``),
+    built in one step rather than one OR per bit."""
+    row = np.zeros(n, bool)
+    row[bits] = True
+    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")

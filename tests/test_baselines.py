@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nbminer.baselines import FrequentItemset, mine_allconf, mine_frequent
-from nbminer.mining import write_itemsets
+from nbminer.baselines import mine_allconf, mine_frequent
+from nbminer.mining import MinedItemset, write_itemsets
 from nbminer.transactions import TransactionDatabase
 
 from _oracles import oracle_allconf_sets, oracle_support_sets
@@ -80,7 +80,8 @@ def test_mine_allconf_only_size_two_plus():
 def test_results_sorted_and_typed():
     db = random_db(8)
     res = mine_frequent(db, 0.2)
-    assert all(isinstance(fs, FrequentItemset) for fs in res)
+    # itemset-file rows: the global threshold in the third field, no precision
+    assert all(isinstance(fs, MinedItemset) and fs[2:] == (0.2, None) for fs in res)
     keys = [(len(fs.items), fs.items) for fs in res]
     assert keys == sorted(keys)
 

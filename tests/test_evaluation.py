@@ -17,6 +17,7 @@ from nbminer.evaluation import (
     ALLCONF_GRID,
     PI_GRID,
     SUPPORT_GRID,
+    SweepEntry,
     allconf_runs,
     nb_runs,
     pi_grid_for_theta,
@@ -343,10 +344,13 @@ def test_sweep_starts_no_more_workers_than_runs(monkeypatch):
             return False
 
         def map(self, fn, items):
-            return map(fn, items)
+            # the workers hand back finished entries
+            entries = list(map(fn, items))
+            assert all(type(e) is SweepEntry for e in entries)
+            return entries
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(evaluation, "_WORKER_DB", None)
+    monkeypatch.setattr(evaluation, "_WORKER_ARGS", None)
     runs = support_runs([0.5, 0.2])
     sequential = sweep(db, truth, runs)
     assert sweep(db, truth, runs, jobs=4) == sequential

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nbminer import mining
+from nbminer.baselines import mine_allconf, mine_frequent
 from nbminer.mining import (
     MinedItemset,
     MinerConfig,
@@ -211,6 +212,16 @@ def test_nb_select_no_support():
     sel = nb_select(db, [1], params, 1.0)
     assert sel.items == frozenset()
     assert sel.counts == {5: 1, 6: 1}
+
+
+@pytest.mark.parametrize("pi", [float("nan"), -0.1, 1.5])
+def test_nb_select_rejects_pi_outside_unit_interval(pi):
+    # the check find_threshold makes: a NaN pi would never stop the scan
+    db = TransactionDatabase([[1, 5], [1, 5], [1, 6], [2, 6]])
+    with pytest.raises(ValueError, match="pi must be in"):
+        nb_select(db, {1}, example_params(), pi)
+    with pytest.raises(ValueError, match="pi must be in"):
+        find_threshold(EXAMPLE_HIST, EXAMPLE_N, EXAMPLE_K, EXAMPLE_A, pi)
 
 
 def test_nb_gen_theta_zero_emits_immediately():
@@ -620,6 +631,15 @@ def test_itemset_file_round_trip(tmp_path):
     assert isinstance(back[1][2], float)
     assert back[1] == ((2, 3), 15, 0.001, None)
     assert back[2] == ((4, 8), 9, None, None)
+    assert all(type(row) is MinedItemset for row in back)
+    # the baselines' rows are itemset-file rows as they stand
+    db, _ = random_db_and_params(5)
+    for rows in (mine_frequent(db, 0.1), mine_allconf(db, 0.2)):
+        assert any(len(row.items) > 2 for row in rows)
+        write_itemsets(path, rows)
+        back = read_itemsets(path)
+        assert back == rows
+        assert all(type(row) is MinedItemset for row in back)
 
 
 def test_read_itemsets_rejects_garbage(tmp_path):
