@@ -2,7 +2,10 @@
 
 Every command that writes an output file also writes a JSON run manifest
 next to it (``<out>.manifest.json``) recording the resolved flags, seed,
-input/output paths, timing and tool version.  Output files themselves are
+input/output paths, each input's SHA-256, timing and the nbminer and numpy
+versions (a generated basket's bytes depend on numpy: NEP 19 keeps only the
+bit generator's raw stream stable across releases, not methods such as
+``Generator.poisson``).  Output files themselves are
 deterministic: rerunning a command with the same flags and inputs produces
 byte-identical files (wall-clock values live only in the manifest).
 """
@@ -10,10 +13,14 @@ byte-identical files (wall-clock values live only in the manifest).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
 from datetime import datetime, timezone
+from pathlib import Path
+
+import numpy
 
 from . import __version__
 from .baselines import mine_allconf, mine_frequent
@@ -33,9 +40,12 @@ def _write_manifest(args: argparse.Namespace, seed, inputs, outputs,
     manifest = {
         "command": args.command,
         "version": __version__,
+        "numpy": numpy.__version__,
         "flags": flags,
         "seed": seed,
         "inputs": list(inputs),
+        "input_sha256": {str(path): hashlib.sha256(Path(path).read_bytes()).hexdigest()
+                         for path in inputs},
         "outputs": list(outputs),
         "started_utc": started_utc,
         "elapsed_seconds": elapsed,

@@ -16,8 +16,14 @@ first), one choice among the previous pattern's items, one choice among the
 remaining items; (3) one exponential weight vector; (4) per transaction,
 one Poisson size, then per fill attempt one uniform for the pattern pick
 (skipped when a carried-over itemset is pending), one uniform per drop
-decision, and one uniform coin when the itemset does not fit. The same
-seed therefore reproduces the same database and truth bit for bit.
+decision and one integer per drop, and one uniform coin when the itemset
+does not fit. The same seed therefore reproduces the same database and
+truth bit for bit.
+
+Two orders fix what those draws pick. The fresh-item pool a pattern chooses
+from is the ascending list of the items it has not already chosen, and a
+corruption drop removes the item at the drawn index in the itemset's
+ascending items.
 """
 
 from __future__ import annotations
@@ -47,14 +53,17 @@ class GenConfig:
     def __post_init__(self):
         if self.n_transactions < 1 or self.n_items < 1 or self.n_patterns < 1:
             raise ValueError("counts must be positive")
-        if self.avg_transaction_size <= 0 or self.avg_pattern_size <= 0:
-            raise ValueError("average sizes must be positive")
+        # numpy's Poisson would fail on these later, without naming the field
+        for name in ("avg_transaction_size", "avg_pattern_size"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.avg_pattern_size > self.n_items:
             raise ValueError(
                 f"average pattern size {self.avg_pattern_size} exceeds "
                 f"the item pool {self.n_items}")
-        if self.correlation < 0:
-            raise ValueError("correlation must be non-negative")
+        if not self.correlation >= 0:  # inf is full reuse; nan is rejected
+            raise ValueError(f"correlation must be non-negative, got {self.correlation!r}")
         if not (0.0 <= self.corruption <= 1.0):
             raise ValueError("corruption must be in [0, 1]")
 
@@ -127,7 +136,9 @@ def generate(config: GenConfig):
             if n_reuse > 0:
                 chosen = rng.choice(prev, n_reuse, replace=False)
         if size - len(chosen) > 0:
-            pool = np.setdiff1d(all_items, chosen)
+            keep = np.ones(n_items, dtype=bool)
+            keep[chosen] = False
+            pool = all_items[keep]
             fresh = rng.choice(pool, size - len(chosen), replace=False)
             chosen = np.concatenate([chosen, fresh])
         prev = chosen
@@ -137,6 +148,8 @@ def generate(config: GenConfig):
     weights /= weights.sum()
     # a list: bisect on Python floats is faster per draw than searchsorted
     cumw = np.cumsum(weights).tolist()
+    # each pattern's items in ascending order, the order a drop indexes into
+    draws = [sorted(p) for p in patterns]
 
     rows = []
     pending = None
@@ -153,14 +166,14 @@ def generate(config: GenConfig):
                 pending = None
             else:
                 idx = bisect.bisect_right(cumw, rng.random())
-                items = set(patterns[min(idx, config.n_patterns - 1)])
-                # corruption: keep dropping a random item while the draw says so
+                items = draws[min(idx, config.n_patterns - 1)][:]
+                # corruption: keep dropping a random item while the draw says so;
+                # deleting from an ascending list keeps it ascending
                 while items and rng.random() < config.corruption:
-                    victims = sorted(items)
-                    items.discard(victims[int(rng.integers(len(victims)))])
+                    del items[int(rng.integers(len(items)))]
             if not items:
                 continue
-            merged = t | items
+            merged = t.union(items)
             if len(merged) <= size:
                 t = merged
             elif rng.random() < 0.5:

@@ -1,9 +1,11 @@
 """Command-line tests: pipelines, determinism, manifests, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
+import numpy
 import pytest
 
 from nbminer.cli import main
@@ -83,9 +85,12 @@ def test_manifest_written_alongside_output(small_dataset, tmp_path):
     assert manifest["flags"]["theta"] == 1.0
     assert manifest["flags"]["pi"] == 0.95
     assert manifest["inputs"] == [str(basket)]
+    assert manifest["input_sha256"] == {
+        str(basket): hashlib.sha256(basket.read_bytes()).hexdigest()}
     assert manifest["outputs"] == [str(out)]
     assert manifest["elapsed_seconds"] >= 0
     assert manifest["version"]
+    assert manifest["numpy"] == numpy.__version__
 
 
 def test_generate_manifest_records_seed(small_dataset):
@@ -94,6 +99,9 @@ def test_generate_manifest_records_seed(small_dataset):
     assert manifest["command"] == "generate"
     assert manifest["seed"] == 5
     assert str(basket) in manifest["outputs"]
+    # generate reads no file; its bytes depend on the numpy that drew them
+    assert manifest["input_sha256"] == {}
+    assert manifest["numpy"] == numpy.__version__
 
 
 def test_fit_total_items_skips_em(small_dataset, tmp_path, capsys):
@@ -167,6 +175,16 @@ def test_generate_without_preset_needs_all_fields(tmp_path, capsys):
                "--out", str(tmp_path / "x.basket"), "--truth", str(tmp_path / "x.truth")])
     assert rc == 0
     assert len(load_basket(tmp_path / "x.basket")) == 50
+
+
+def test_generate_rejects_non_finite_size(tmp_path, capsys):
+    out = tmp_path / "nan.basket"
+    rc = main(["generate", "--preset", "artif-2", "--transactions", "50",
+               "--avg-transaction-size", "nan",
+               "--out", str(out), "--truth", str(tmp_path / "nan.truth")])
+    assert rc == 1
+    assert "avg_transaction_size" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_generate_preset_field_override(tmp_path):
