@@ -30,11 +30,16 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .transactions import TransactionDatabase
+
+
+# the largest mean numpy's Poisson sampler accepts
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -51,13 +56,16 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_transactions < 1 or self.n_items < 1 or self.n_patterns < 1:
-            raise ValueError("counts must be positive")
-        # numpy's Poisson would fail on these later, without naming the field
+        # generate would fail on these later, without naming the field
+        for name in ("n_transactions", "n_items", "n_patterns"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         for name in ("avg_transaction_size", "avg_pattern_size"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            if not (0 < value <= _POISSON_LAM_MAX):
+                raise ValueError(
+                    f"{name} must be positive and at most {_POISSON_LAM_MAX:.6g}, got {value!r}")
         if self.avg_pattern_size > self.n_items:
             raise ValueError(
                 f"average pattern size {self.avg_pattern_size} exceeds "

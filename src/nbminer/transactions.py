@@ -1,9 +1,10 @@
 """Transaction databases: loading, writing, and co-occurrence counting.
 
 A transaction is a set of non-negative integer item ids. The basket file
-format is one transaction per line, item ids separated by whitespace;
-blank lines and lines starting with ``#`` are skipped, and duplicate ids
-within a line are collapsed.
+format is UTF-8 text with one transaction per line (lines end in LF, CRLF
+or CR), item ids as runs of ASCII digits separated by whitespace; blank
+lines and lines starting with ``#`` are skipped, and duplicate ids within
+a line are collapsed.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class TransactionDatabase:
     def _init_from_rows(self, rows: tuple[tuple[int, ...], ...]) -> None:
         self.transactions = rows
         self.item_freq = dict(Counter(chain.from_iterable(rows)))
-        self.incidence_total = sum(len(t) for t in rows)
+        self.incidence_total = sum(map(len, rows))
 
     @classmethod
     def _from_rows(cls, rows: Iterable[tuple[int, ...]]) -> "TransactionDatabase":
@@ -78,22 +79,99 @@ def load_basket(path) -> TransactionDatabase:
     """Read a basket file into a TransactionDatabase.
 
     Raises BasketFormatError (with the offending line number) on any token
-    that is not a non-negative decimal integer.
+    that is not a non-negative decimal integer and on any line that is not
+    UTF-8.
     """
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            s = line.strip()
-            if not s or s.startswith("#"):
-                continue
-            items = set()
-            for tok in s.split():
-                if not (tok.isascii() and tok.isdigit()):
-                    raise BasketFormatError(
-                        f"{path}:{lineno}: invalid item id {tok!r}")
-                items.add(int(tok))
-            rows.append(tuple(sorted(items)))
+    with open(path, "rb") as fh:
+        rows = _parse_plain(fh)
+    if rows is None:
+        # each byte that is not UTF-8 is read as a lone surrogate, which
+        # _parse_lines reports with its line
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            rows = _parse_lines(fh, path)
     return TransactionDatabase._from_rows(rows)
+
+
+# A plain basket holds only ASCII digits, spaces, tabs, CRs and LFs, with no
+# id longer than _MAX_DIGITS digits, which always fits in an int64. Such a
+# file holds no bad token, so it is parsed in bulk, in blocks of whole lines
+# read _BLOCK bytes at a time, which keeps the transient arrays small.
+_PLAIN = np.zeros(256, bool)
+_PLAIN[list(b"0123456789 \t\r\n")] = True
+_MAX_DIGITS = 18
+_BLOCK = 1 << 16
+
+
+def _parse_plain(fh) -> list | None:
+    """The rows of a plain basket file open in binary mode, or None if it
+    is not plain."""
+    rows, pending = [], b""
+    while True:
+        chunk = fh.read(_BLOCK)
+        block = pending + chunk
+        # parse up to the last line break; the rest waits for the next chunk
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r")) + 1 if chunk else len(block)
+        pending = block[cut:]
+        found = _plain_rows(np.frombuffer(block, np.uint8, cut))
+        if found is None:
+            return None
+        rows += found
+        if not chunk:
+            return rows
+
+
+def _plain_rows(buf: np.ndarray) -> list | None:
+    """The rows of one block of whole lines, or None if it is not plain."""
+    if not _PLAIN[buf].all():
+        return None
+    # in a plain block the digits are the bytes from b"0" up; the edges of
+    # their runs alternate start, end
+    edges = np.flatnonzero(np.diff(buf >= 48, prepend=False, append=False))
+    starts, ends = edges[::2], edges[1::2]
+    lengths = ends - starts
+    if not len(lengths):
+        return []
+    if lengths.max() > _MAX_DIGITS:
+        return None
+    values = np.zeros(len(starts), np.int64)
+    for j in range(lengths.max()):
+        live = lengths > j
+        values[live] = values[live] * 10 + (buf[starts[live] + j] - 48)
+    # the first id after a line break starts a row, and so does the block's
+    # first id; a CRLF, or a line with no id, makes no row
+    first = np.zeros(len(starts) + 1, bool)
+    first[0] = True
+    first[np.searchsorted(starts, np.flatnonzero((buf == 10) | (buf == 13)))] = True
+    vals = values.tolist()
+    bounds = np.flatnonzero(first[:-1]).tolist()
+    rows = [tuple(vals[a:b]) for a, b in zip(bounds, bounds[1:] + [len(vals)])]
+    # sort and dedupe the rows whose ids do not strictly rise
+    falls = np.flatnonzero((values[1:] <= values[:-1]) & ~first[1:-1])
+    for r in set(np.searchsorted(bounds, falls, "right").tolist()):
+        rows[r - 1] = tuple(sorted(set(rows[r - 1])))
+    return rows
+
+
+def _parse_lines(fh, path) -> list:
+    """The rows of any basket file open in text mode, one line at a time."""
+    rows = []
+    for lineno, line in enumerate(fh, 1):
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise BasketFormatError(f"{path}:{lineno}: not UTF-8") from None
+        s = line.strip()
+        if not s or s.startswith("#"):
+            continue
+        items = set()
+        for tok in s.split():
+            if not (tok.isascii() and tok.isdigit()):
+                raise BasketFormatError(
+                    f"{path}:{lineno}: invalid item id {tok!r}")
+            items.add(int(tok))
+        rows.append(tuple(sorted(items)))
+    return rows
 
 
 def write_basket(db: TransactionDatabase, path) -> None:

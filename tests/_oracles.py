@@ -181,3 +181,28 @@ def oracle_allconf_sets(db, min_allconf):
             if denom > 0 and freq / denom >= min_allconf:
                 out[z] = freq
     return out
+
+
+def oracle_read_basket(path):
+    """A basket file read line by line in text mode, token by token.
+
+    Returns (rows, freq, None), rows being each kept line's ids as a sorted
+    tuple of distinct ints and freq each id's row count in first-seen order,
+    or (None, None, lineno) for the first line holding a token that is not
+    a run of ASCII digits. Blank lines and lines whose first non-blank
+    character is ``#`` are skipped.
+    """
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            tokens = line.split()
+            if not tokens or tokens[0].startswith("#"):
+                continue
+            if not all(t.isascii() and t.isdigit() for t in tokens):
+                return None, None, lineno
+            rows.append(tuple(sorted(set(map(int, tokens)))))
+    freq = {}
+    for row in rows:
+        for i in row:
+            freq[i] = freq.get(i, 0) + 1
+    return rows, freq, None

@@ -50,13 +50,23 @@ def test_config_validation():
         GenConfig(10, 10, 100, 5, 2, corruption=1.5)
     with pytest.raises(ValueError):
         GenConfig(10, 10, 100, 5, 2, correlation=-0.1)
-    # non-finite settings are refused by name, before numpy sees them
-    for field, value in (("avg_transaction_size", math.nan),
+    # settings numpy would fail on are refused by name, before it sees them:
+    # non-integral counts, and means that are not finite or that numpy's
+    # Poisson sampler cannot take
+    for field, value in (("n_transactions", 2.5),
+                         ("n_items", 100.0),
+                         ("n_patterns", 1.5),
+                         ("avg_transaction_size", math.nan),
                          ("avg_transaction_size", math.inf),
+                         ("avg_transaction_size", 1e300),
                          ("avg_pattern_size", math.nan),
                          ("correlation", math.nan)):
         with pytest.raises(ValueError, match=field):
             replace(GenConfig(10, 10, 100, 5, 2), **{field: value})
+    with pytest.raises(ValueError, match="avg_pattern_size"):
+        GenConfig(10, 10, 10**20, 5, 1e19)
+    with pytest.raises(ValueError, match="n_transactions"):
+        preset_config("artif-2", n_transactions=2.5)
     # infinite correlation is full reuse of the previous pattern's items
     generate(GenConfig(10, 10, 100, 5, 2, correlation=math.inf))
 

@@ -1,10 +1,13 @@
 import random
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nbminer import transactions
 from nbminer.transactions import (
     BasketFormatError,
     TransactionDatabase,
@@ -15,6 +18,7 @@ from nbminer.transactions import (
 from nbminer.mining import nb_select
 from nbminer.nbmodel import NBParams
 
+from _oracles import oracle_read_basket
 from test_mining import ID_RANGES
 
 # a model for reading nb_select's candidate counts; its threshold is not checked
@@ -67,6 +71,83 @@ def test_load_basket_reports_line_numbers(tmp_path):
     p.write_text("1 1_0\n")
     with pytest.raises(BasketFormatError, match=r":1:"):
         load_basket(p)
+    p.write_bytes(b"1 2\n3 \xff 4\n")
+    with pytest.raises(BasketFormatError, match=r":2: not UTF-8"):
+        load_basket(p)
+
+
+# separators str.split() knows: the plain ones, then every other kind
+PLAIN_SPACE = [" ", "\t"]
+OTHER_SPACE = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
+               "\u2003", "\u2028", "\u3000"]
+BAD_TOKENS = ["x", "-3", "+5", "1_0", "1.0", "0x1f", "1#", "\u00b2", "\u0663"]
+LINE_ENDS = ["\n", "\r\n", "\r"]
+# a file the bulk pass takes: only digits, spaces, tabs, CRs and LFs, and no
+# run of more than 18 digits
+NOT_PLAIN = re.compile(rb"[^0-9 \t\r\n]|[0-9]{19}")
+
+
+@st.composite
+def basket_files(draw):
+    """The bytes of a basket file. About half the files are drawn plain,
+    with ids below 10**18 and only spaces and tabs; the others mix in every
+    kind of whitespace, comment lines, long ids and bad tokens."""
+    plain = draw(st.booleans())
+    ids = [i for i in draw(st.sampled_from(ID_RANGES)) if not plain or i < 10**18]
+    spaces = st.sampled_from(PLAIN_SPACE if plain else PLAIN_SPACE + OTHER_SPACE)
+    pad = st.lists(spaces, max_size=2).map("".join)
+    # leading zeros, up to the longest run the bulk pass parses; one digit
+    # past it in every file drawn not plain and in one plain file in four
+    widths = [0, 2, 4, 18] + [19] * (not plain or draw(st.integers(0, 3)) == 0)
+    token = st.builds(lambda i, width: str(i).zfill(width),
+                      st.sampled_from(ids), st.sampled_from(widths))
+    if not plain:
+        token = st.one_of(token, st.sampled_from(BAD_TOKENS))
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["ids"] * 4 + ["blank"] + ["comment"] * (not plain)))
+        text = draw(pad)
+        if kind == "comment":
+            text += "#" + draw(st.text(st.characters(exclude_categories=["Cs"],
+                                                     exclude_characters="\r\n"),
+                                       max_size=4))
+        elif kind == "ids":
+            for k, tok in enumerate(draw(st.lists(token, min_size=1, max_size=6))):
+                text += (draw(spaces) + draw(pad)) * (k > 0) + tok
+            text += draw(pad)
+        lines.append(text + draw(st.sampled_from(LINE_ENDS)))
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return "".join(lines).encode("utf-8")
+
+
+def test_load_basket_matches_oracle_property(tmp_path):
+    # both paths give the oracle's rows, frequencies in first-seen order and
+    # incidence total, or fail on its line; the line loop runs exactly for
+    # the files that are not plain
+    p = tmp_path / "p.basket"
+    paths = {"bulk": 0, "lines": 0}
+
+    @settings(deadline=None, max_examples=400)
+    @given(basket_files())
+    def check(data):
+        p.write_bytes(data)
+        rows, freq, bad_line = oracle_read_basket(p)
+        with mock.patch.object(transactions, "_parse_lines",
+                               wraps=transactions._parse_lines) as loop:
+            if bad_line is None:
+                db = load_basket(p)
+                assert db.transactions == tuple(rows)
+                assert list(db.item_freq.items()) == list(freq.items())
+                assert db.incidence_total == sum(map(len, rows))
+            else:
+                with pytest.raises(BasketFormatError, match=f":{bad_line}: "):
+                    load_basket(p)
+        assert loop.called == bool(NOT_PLAIN.search(data))
+        paths["lines" if loop.called else "bulk"] += 1
+
+    check()
+    assert paths["bulk"] >= 100 and paths["lines"] >= 100, paths
 
 
 def test_basket_round_trip(tmp_path):
