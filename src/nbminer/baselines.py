@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mining import MinedItemset
+from .mining import MinedItemset, _check_fraction
 from .transactions import TransactionDatabase, _PairCounts, _bitset
 
 
@@ -33,6 +33,8 @@ def _mine_vertical(db: TransactionDatabase, weight: dict, threshold: float) -> l
     ``f / max(weight[i] for i in itemset) >= threshold``, sorted by size
     then items, as ``MinedItemset(items, f, threshold, None)`` rows.
     """
+    if len(db) == 0:
+        raise ValueError("cannot mine an empty database")
     freq = db.item_freq
     ids = sorted(i for i, f in freq.items() if f / weight[i] >= threshold)
     out = [((i,), freq[i]) for i in ids]
@@ -80,20 +82,13 @@ def _mine_vertical(db: TransactionDatabase, weight: dict, threshold: float) -> l
 
 def mine_frequent(db: TransactionDatabase, min_support: float) -> list:
     """All itemsets (size >= 1) with support >= min_support, as MinedItemset rows."""
-    if not (0.0 < min_support <= 1.0):
-        raise ValueError(f"min_support must be in (0, 1], got {min_support}")
-    n = len(db)
-    if n == 0:
-        raise ValueError("cannot mine an empty database")
-    return _mine_vertical(db, dict.fromkeys(db.item_freq, n), min_support)
+    _check_fraction("min_support", min_support)
+    return _mine_vertical(db, dict.fromkeys(db.item_freq, len(db)), min_support)
 
 
 def mine_allconf(db: TransactionDatabase, min_allconf: float) -> list:
     """All itemsets (size >= 2) with all-confidence >= min_allconf, as MinedItemset rows."""
-    if not (0.0 < min_allconf <= 1.0):
-        raise ValueError(f"min_allconf must be in (0, 1], got {min_allconf}")
-    if len(db) == 0:
-        raise ValueError("cannot mine an empty database")
+    _check_fraction("min_allconf", min_allconf)
     # each single item has all-confidence 1, so every item takes part
     return [fs for fs in _mine_vertical(db, db.item_freq, min_allconf)
             if len(fs.items) >= 2]

@@ -128,9 +128,10 @@ _GEN_FIELDS = {
 
 
 def _gen_config(args: argparse.Namespace) -> GenConfig:
-    overrides = {field: getattr(args, flag)
+    # a command without some generator flag (benchmark) reads it as absent
+    overrides = {field: getattr(args, flag, None)
                  for flag, field in _GEN_FIELDS.items()
-                 if getattr(args, flag) is not None}
+                 if getattr(args, flag, None) is not None}
     if args.preset:
         return preset_config(args.preset, **overrides)
     required = ("n_transactions", "avg_transaction_size", "n_items",
@@ -195,12 +196,7 @@ def cmd_benchmark(args: argparse.Namespace):
         seed = None
         inputs = [args.basket, args.truth]
     elif args.preset:
-        overrides = {}
-        if args.transactions is not None:
-            overrides["n_transactions"] = args.transactions
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        config = preset_config(args.preset, **overrides)
+        config = _gen_config(args)
         db, truth = generate(config)
         seed = config.seed
         inputs = []
@@ -252,7 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--fit-inline", action="store_true",
                      help="fit the model from the basket file first")
     p.add_argument("--pi", type=float, default=0.95,
-                   help="required predicted precision (default 0.95)")
+                   help="required predicted precision, in (0, 1]; 0 is refused "
+                        "because it would select every co-occurring item "
+                        "(default 0.95)")
     p.add_argument("--theta", type=float, default=0.5,
                    help="fraction of subsets that must propose an itemset "
                         "(default 0.5)")

@@ -281,7 +281,7 @@ def sweep(
         return list(pool.map(_entry_in_worker, runs))
 
 
-def pi_grid_for_theta(theta: float, grid: Sequence[float] = PI_GRID) -> tuple[float, ...]:
+def pi_grid_for_theta(theta: float) -> tuple[float, ...]:
     """Trim the precision grid to the region that stays tractable.
 
     Low theta values prune almost nothing, so candidate growth explodes
@@ -289,10 +289,10 @@ def pi_grid_for_theta(theta: float, grid: Sequence[float] = PI_GRID) -> tuple[fl
     pi >= 0.8 at theta = 0.
     """
     if theta == 0:
-        return tuple(pi for pi in grid if pi >= 0.8)
+        return tuple(pi for pi in PI_GRID if pi >= 0.8)
     if theta == 0.5:
-        return tuple(pi for pi in grid if pi >= 0.5)
-    return tuple(grid)
+        return tuple(pi for pi in PI_GRID if pi >= 0.5)
+    return PI_GRID
 
 
 def _nb_run(db: TransactionDatabase, params: NBParams, pi: float, theta: float) -> list:

@@ -31,17 +31,26 @@ from .nbmodel import NBParams, nb_pmf_prefix
 from .transactions import TransactionDatabase, _PairCounts
 
 
+def _check_fraction(name: str, value: float) -> None:
+    """The rule for pi and the baselines' thresholds: (0, 1], NaN rejected."""
+    if not (0.0 < value <= 1.0):
+        raise ValueError(f"{name} must be in (0, 1], got {value}")
+
+
 @dataclass(frozen=True)
 class MinerConfig:
-    """Run parameters: the fitted model plus precision and subset thresholds."""
+    """Run parameters: the fitted model plus precision and subset thresholds.
+
+    pi is in (0, 1]: a target of 0 demands nothing, since every co-occurring
+    candidate would pass at threshold 1. theta is in [0, 1]. Neither is NaN.
+    """
 
     params: NBParams
     pi: float = 0.95
     theta: float = 0.5
 
     def __post_init__(self):
-        if not (0.0 < self.pi <= 1.0):
-            raise ValueError(f"pi must be in (0, 1], got {self.pi}")
+        _check_fraction("pi", self.pi)
         if not (0.0 <= self.theta <= 1.0):
             raise ValueError(f"theta must be in [0, 1], got {self.theta}")
 
@@ -159,17 +168,13 @@ def _threshold_scan(counts, n_candidates: int, k: float, a_l: float, pi: float):
     return best
 
 
-def _check_pi(pi: float) -> None:
-    if not (0.0 <= pi <= 1.0):
-        raise ValueError(f"pi must be in [0, 1], got {pi}")
-
-
 def find_threshold(o_hist, n_candidates: int, k: float, a_l: float,
                    pi: float) -> Optional[int]:
     """Local frequency threshold for precision target pi, or None if even
     the highest observed count cannot reach it. ``o_hist`` maps
-    co-occurrence counts to how many candidates showed that count."""
-    _check_pi(pi)
+    co-occurrence counts to how many candidates showed that count.
+    pi is in (0, 1], as for MinerConfig: at 0 every count passes: threshold 1."""
+    _check_fraction("pi", pi)
     if n_candidates <= 0:
         raise ValueError(f"n_candidates must be positive, got {n_candidates}")
     counts = sorted(chain.from_iterable([r] * c for r, c in o_hist.items() if r >= 1))
@@ -187,8 +192,9 @@ def nb_select(db: TransactionDatabase, itemset, params: NBParams,
     threshold are selected. No threshold and no items when no threshold
     exists, when no transaction holds the itemset with another item, or
     when the model has no candidates left (n_total <= |itemset|).
+    pi is in (0, 1], as for MinerConfig: at 0 every candidate would pass.
     """
-    _check_pi(pi)
+    _check_fraction("pi", pi)
     l = frozenset(itemset)
     counts = Counter(chain.from_iterable(t for t in db.transactions if l.issubset(t)))
     for i in l:

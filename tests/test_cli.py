@@ -289,6 +289,22 @@ def test_benchmark_parallel_failure_is_reported_not_fatal(small_dataset, tmp_pat
     assert len(out.read_text(encoding="ascii").splitlines()) == 1 + 1
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_benchmark_invalid_pi_fails_its_grid_point_only(small_dataset, tmp_path, capsys, jobs):
+    basket, truth = small_dataset
+    out = tmp_path / "pi.tsv"
+    rc = main(["benchmark", "--basket", str(basket), "--truth", str(truth),
+               "--methods", "nb", "--theta", "0.5", "--pi-grid", "0,0.95",
+               "--out", str(out), "--jobs", jobs])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert "warning: nb-theta0.5 at 0 failed: ValueError: pi must be in (0, 1]" in captured.err
+    assert "benchmark: 1/2 grid points" in captured.out
+    lines = out.read_text(encoding="ascii").splitlines()
+    assert len(lines) == 1 + 1
+    assert lines[1].startswith("nb-theta0.5\t0.95\t")
+
+
 def test_benchmark_table_is_the_library_sweep(small_dataset, tmp_path):
     basket, truth = small_dataset
     out, expected = tmp_path / "cli.tsv", tmp_path / "lib.tsv"
