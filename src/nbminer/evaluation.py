@@ -22,7 +22,7 @@ from .baselines import mine_allconf, mine_frequent
 from .mining import MinerConfig, nb_dfs
 from .nbmodel import NBParams
 from .synthgen import GroundTruth
-from .transactions import TransactionDatabase, _bitset
+from .transactions import TransactionDatabase, _bitset, _read_lines
 
 __all__ = [
     "ALLCONF_GRID",
@@ -374,28 +374,23 @@ def read_sweep(path) -> list[dict]:
     table, so rows are plain mappings rather than SweepEntry objects. A
     malformed row raises ValueError naming ``path:lineno``.
     """
-    rows = []
-    with open(path, encoding="ascii") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if tuple(header) != _SWEEP_HEADER:
-            raise ValueError(f"unexpected sweep header: {header}")
-        for lineno, line in enumerate(fh, start=2):
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != len(_SWEEP_HEADER):
-                raise ValueError(f"{path}:{lineno}: expected {len(_SWEEP_HEADER)} fields")
-            method, parameter, mined, max_size, tp, fp, total, prec, rec = fields
-            try:
-                rows.append({
-                    "method": method,
-                    "parameter": float(parameter),
-                    "mined_count": int(mined),
-                    "max_size": int(max_size),
-                    "tp": int(tp),
-                    "fp": int(fp),
-                    "positives_total": int(total),
-                    "precision": float(prec) if prec else None,
-                    "recall": float(rec) if rec else None,
-                })
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return rows
+    header = []
+
+    def row(text):
+        fields = text.split("\t")
+        if not header:
+            if tuple(fields) != _SWEEP_HEADER:
+                raise ValueError(f"unexpected sweep header: {fields}")
+            header.append(fields)
+            return None
+        if len(fields) != len(_SWEEP_HEADER):
+            raise ValueError(f"expected {len(_SWEEP_HEADER)} fields")
+        method, parameter, *counts, prec, rec = fields
+        return dict(zip(_SWEEP_HEADER, (
+            method, float(parameter), *map(int, counts),
+            float(prec) if prec else None, float(rec) if rec else None)))
+
+    rows = _read_lines(path, row)
+    if not header:
+        raise ValueError(f"{path}: no sweep header")
+    return rows[1:]

@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .nbmodel import NBParams, nb_pmf_prefix
-from .transactions import TransactionDatabase, _PairCounts
+from .transactions import TransactionDatabase, _PairCounts, _item_id, _read_lines
 
 
 def _check_fraction(name: str, value: float) -> None:
@@ -173,7 +173,8 @@ def find_threshold(o_hist, n_candidates: int, k: float, a_l: float,
     """Local frequency threshold for precision target pi, or None if even
     the highest observed count cannot reach it. ``o_hist`` maps
     co-occurrence counts to how many candidates showed that count.
-    pi is in (0, 1], as for MinerConfig: at 0 every count passes: threshold 1."""
+    pi is in (0, 1], as for MinerConfig; pi 0 is refused, since every count
+    would pass it at threshold 1."""
     _check_fraction("pi", pi)
     if n_candidates <= 0:
         raise ValueError(f"n_candidates must be positive, got {n_candidates}")
@@ -356,21 +357,14 @@ def read_itemsets(path) -> list:
     (a baseline's global fraction) as a float. A malformed line raises
     ValueError naming ``path:lineno``.
     """
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            s = line.rstrip("\n")
-            if not s.strip() or s.startswith("#"):
-                continue
-            fields = s.split("\t")
-            if len(fields) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields")
-            ids, freq, sigma, prec = fields
-            try:
-                out.append(MinedItemset(
-                    tuple(int(tok) for tok in ids.split()), int(freq),
-                    None if not sigma else int(sigma) if sigma.isdigit() else float(sigma),
-                    float(prec) if prec else None))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return out
+    def row(text):
+        fields = text.split("\t")
+        if len(fields) != 4:
+            raise ValueError("expected 4 tab-separated fields")
+        ids, freq, sigma, prec = fields
+        return MinedItemset(
+            tuple(map(_item_id, ids.split())), int(freq),
+            None if not sigma else int(sigma) if sigma.isdigit() else float(sigma),
+            float(prec) if prec else None)
+
+    return _read_lines(path, row)

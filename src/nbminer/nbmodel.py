@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .transactions import TransactionDatabase
+from .transactions import TransactionDatabase, _read_lines
 
 # below this log, exp() leaves the normal doubles and loses its digits
 _LOG_MIN_NORMAL = math.log(sys.float_info.min)
@@ -309,20 +309,17 @@ def write_model(params: NBParams, path) -> None:
 
 def read_model(path) -> NBParams:
     """Read a model file written by write_model."""
-    values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            s = line.strip()
-            if not s or s.startswith("#"):
-                continue
-            key, sep, raw = s.partition("=")
-            key = key.strip()
-            if not sep or key not in _MODEL_REAL_KEYS + _MODEL_INT_KEYS:
-                raise ValueError(f"{path}:{lineno}: unrecognized model line {s!r}")
-            try:
-                values[key] = float(raw.strip())
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad value for {key}") from None
+    def row(text):
+        key, sep, raw = text.partition("=")
+        key = key.strip()
+        if not sep or key not in _MODEL_REAL_KEYS + _MODEL_INT_KEYS:
+            raise ValueError(f"unrecognized model line {text.strip()!r}")
+        try:
+            return key, float(raw)
+        except ValueError:
+            raise ValueError(f"bad value for {key}") from None
+
+    values = dict(_read_lines(path, row))
     missing = set(_MODEL_REAL_KEYS + _MODEL_INT_KEYS) - set(values)
     if missing:
         raise ValueError(f"{path}: missing model keys {sorted(missing)}")
@@ -332,7 +329,10 @@ def read_model(path) -> NBParams:
             raise ValueError(f"{path}: {key} must be an integer, got {v}")
         values[key] = int(v)
     stated = values.pop("a_per_incidence")
-    params = NBParams(**values)
+    try:
+        params = NBParams(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not math.isclose(stated, params.a_per_incidence, rel_tol=1e-9):
         raise ValueError(
             f"{path}: inconsistent a_per_incidence {stated!r} "

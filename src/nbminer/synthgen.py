@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .transactions import TransactionDatabase
+from .transactions import TransactionDatabase, _item_id, _read_lines
 
 
 # the largest mean numpy's Poisson sampler accepts
@@ -214,23 +214,19 @@ def write_truth(truth: GroundTruth, path) -> None:
 
 def read_truth(path) -> GroundTruth:
     """Read a truth file; weights are renormalized if they drifted from 1."""
+    def row(text):
+        fields = text.strip().split("\t")
+        if len(fields) != 2:
+            raise ValueError("expected `weight TAB items`")
+        w = float(fields[0])
+        items = frozenset(map(_item_id, fields[1].split()))
+        if not (math.isfinite(w) and w >= 0) or not items:
+            raise ValueError("bad weight or empty pattern")
+        return items, w
+
     patterns = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            s = line.strip()
-            if not s or s.startswith("#"):
-                continue
-            fields = s.split("\t")
-            if len(fields) != 2:
-                raise ValueError(f"{path}:{lineno}: expected `weight TAB items`")
-            try:
-                w = float(fields[0])
-                items = frozenset(int(tok) for tok in fields[1].split())
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: unparseable line") from None
-            if not (math.isfinite(w) and w >= 0) or not items:
-                raise ValueError(f"{path}:{lineno}: bad weight or empty pattern")
-            patterns[items] = patterns.get(items, 0.0) + w
+    for items, w in _read_lines(path, row):
+        patterns[items] = patterns.get(items, 0.0) + w
     if not patterns:
         return GroundTruth({})
     total = _weight_sum(patterns)

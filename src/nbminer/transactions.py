@@ -1,10 +1,11 @@
 """Transaction databases: loading, writing, and co-occurrence counting.
 
 A transaction is a set of non-negative integer item ids. The basket file
-format is UTF-8 text with one transaction per line (lines end in LF, CRLF
-or CR), item ids as runs of ASCII digits separated by whitespace; blank
-lines and lines starting with ``#`` are skipped, and duplicate ids within
-a line are collapsed.
+format holds one transaction per line, item ids as runs of ASCII digits
+separated by whitespace; duplicate ids within a line are collapsed. It
+shares its line rules with every text file the package reads (see
+``_read_lines``): UTF-8, lines ending in LF, CRLF or CR, and blank lines
+and lines whose first non-blank character is ``#`` skipped.
 """
 
 from __future__ import annotations
@@ -79,16 +80,12 @@ def load_basket(path) -> TransactionDatabase:
     """Read a basket file into a TransactionDatabase.
 
     Raises BasketFormatError (with the offending line number) on any token
-    that is not a non-negative decimal integer and on any line that is not
-    UTF-8.
+    that is not a run of ASCII digits and on any line that is not UTF-8.
     """
     with open(path, "rb") as fh:
         rows = _parse_plain(fh)
     if rows is None:
-        # each byte that is not UTF-8 is read as a lone surrogate, which
-        # _parse_lines reports with its line
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            rows = _parse_lines(fh, path)
+        rows = _parse_lines(path)
     return TransactionDatabase._from_rows(rows)
 
 
@@ -152,26 +149,42 @@ def _plain_rows(buf: np.ndarray) -> list | None:
     return rows
 
 
-def _parse_lines(fh, path) -> list:
-    """The rows of any basket file open in text mode, one line at a time."""
-    rows = []
-    for lineno, line in enumerate(fh, 1):
-        if not line.isascii():
+def _parse_lines(path) -> list:
+    """The rows of any basket file, one line at a time."""
+    return _read_lines(path, lambda text: tuple(sorted(set(map(_item_id, text.split())))),
+                       BasketFormatError)
+
+
+def _item_id(token: str) -> int:
+    """An item id in a text file: a run of ASCII digits."""
+    if token.isascii() and token.isdigit():
+        return int(token)
+    raise ValueError(f"invalid item id {token!r}")
+
+
+def _read_lines(path, parse, error=ValueError) -> list:
+    """``parse(text)`` for each line of the UTF-8 text file ``path``, text
+    being the line without its end (LF, CRLF or CR). A line that is blank or
+    whose first non-blank character is ``#`` is skipped. A line that is not
+    UTF-8, or a ValueError from ``parse``, raises ``error`` naming
+    ``path:lineno``."""
+    out = []
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, 1):
             try:
-                line.encode("utf-8")
+                if not line.isascii():
+                    # each byte that is not UTF-8 was read as a lone
+                    # surrogate, which does not encode
+                    line.encode("utf-8")
+                text = line.rstrip("\n")
+                head = text.lstrip()
+                if head and head[0] != "#":
+                    out.append(parse(text))
             except UnicodeEncodeError:
-                raise BasketFormatError(f"{path}:{lineno}: not UTF-8") from None
-        s = line.strip()
-        if not s or s.startswith("#"):
-            continue
-        items = set()
-        for tok in s.split():
-            if not (tok.isascii() and tok.isdigit()):
-                raise BasketFormatError(
-                    f"{path}:{lineno}: invalid item id {tok!r}")
-            items.add(int(tok))
-        rows.append(tuple(sorted(items)))
-    return rows
+                raise error(f"{path}:{lineno}: not UTF-8") from None
+            except ValueError as exc:
+                raise error(f"{path}:{lineno}: {exc}") from None
+    return out
 
 
 def write_basket(db: TransactionDatabase, path) -> None:

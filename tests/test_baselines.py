@@ -126,26 +126,38 @@ def _threshold(data, ties):
     return data.draw(st.one_of(st.sampled_from(sorted(ties)), floats) if ties else floats)
 
 
-@settings(deadline=None, max_examples=200)
-@given(st.data())
-def test_baselines_match_oracles_property(data):
+def test_baselines_match_oracles_property():
     # repeated and empty rows reach databases of up to 112 transactions,
     # where a tie f / n == min_support (7 / 25, say) can fail the
     # multiplied-out form f >= min_support * n
-    drawn = data.draw(st.lists(st.tuples(st.lists(st.sampled_from(ITEM_IDS), max_size=6),
-                                         st.integers(1, 6)),
-                               min_size=1, max_size=12))
-    rows = [row for row, times in drawn for _ in range(times)]
-    db = TransactionDatabase(rows + [[]] * data.draw(st.integers(0, 40)))
-    n = len(db)
-    occurring = oracle_support_sets(db, 1 / n)
-    min_support = _threshold(data, {f / n for f in occurring.values()})
-    got = {frozenset(fs.items): fs.freq for fs in mine_frequent(db, min_support)}
-    assert got == oracle_support_sets(db, min_support)
-    min_allconf = _threshold(data, {f / max(db.item_freq[i] for i in z)
-                                    for z, f in occurring.items() if len(z) >= 2})
-    got = {frozenset(fs.items): fs.freq for fs in mine_allconf(db, min_allconf)}
-    assert got == oracle_allconf_sets(db, min_allconf)
+    non_empty = {"support": 0, "allconf": 0}
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def check(data):
+        drawn = data.draw(st.lists(st.tuples(st.lists(st.sampled_from(ITEM_IDS), max_size=6),
+                                             st.integers(1, 6)),
+                                   min_size=1, max_size=12))
+        rows = [row for row, times in drawn for _ in range(times)]
+        db = TransactionDatabase(rows + [[]] * data.draw(st.integers(0, 40)))
+        n = len(db)
+        occurring = oracle_support_sets(db, 1 / n)
+        min_support = _threshold(data, {f / n for f in occurring.values()})
+        got = {frozenset(fs.items): fs.freq for fs in mine_frequent(db, min_support)}
+        expect = oracle_support_sets(db, min_support)
+        assert got == expect
+        non_empty["support"] += bool(expect)
+        min_allconf = _threshold(data, {f / max(db.item_freq[i] for i in z)
+                                        for z, f in occurring.items() if len(z) >= 2})
+        got = {frozenset(fs.items): fs.freq for fs in mine_allconf(db, min_allconf)}
+        expect = oracle_allconf_sets(db, min_allconf)
+        assert got == expect
+        non_empty["allconf"] += bool(expect)
+
+    check()
+    # over ten hypothesis seeds, 113 to 171 of the 200 examples mined
+    # something by support and 153 to 170 by all-confidence
+    assert min(non_empty.values()) >= 80, non_empty
 
 
 # SHA-256 of the itemset file the CLI writes for each baseline on the

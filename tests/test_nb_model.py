@@ -377,6 +377,24 @@ def test_model_file_errors(tmp_path):
         read_model(path)
 
 
+def test_read_model_names_its_file_when_nbparams_refuses(tmp_path):
+    # NBParams checks the values after every line is read; its error still
+    # names the file
+    path = tmp_path / "tiny.model"
+    model = ("k = 1.0\na = {}\na_per_incidence = 0.0\nn_total = {}\n"
+             "incidence_total = 1000000\ntransaction_count = 10\n"
+             "em_iterations = 0\ntrimmed_items = 0\n")
+    path.write_text(model.format("1e-320", 10))
+    with pytest.raises(ValueError, match=r"tiny\.model: a_per_incidence must be positive"):
+        read_model(path)
+    path.write_text(model.format("0.0", 10))
+    with pytest.raises(ValueError, match=r"tiny\.model: scale a must be positive"):
+        read_model(path)
+    path.write_text(model.format("1e-320", 0))
+    with pytest.raises(ValueError, match=r"tiny\.model: n_total must be at least 1"):
+        read_model(path)
+
+
 def test_nbparams_validation():
     with pytest.raises(ValueError):
         NBParams(k=-1.0, a=1.0, n_total=10, incidence_total=100,

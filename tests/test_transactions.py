@@ -15,8 +15,10 @@ from nbminer.transactions import (
     load_basket,
     write_basket,
 )
-from nbminer.mining import nb_select
-from nbminer.nbmodel import NBParams
+from nbminer.evaluation import read_sweep
+from nbminer.mining import nb_select, read_itemsets
+from nbminer.nbmodel import NBParams, read_model
+from nbminer.synthgen import read_truth
 
 from _oracles import oracle_read_basket
 from test_mining import ID_RANGES
@@ -74,6 +76,48 @@ def test_load_basket_reports_line_numbers(tmp_path):
     p.write_bytes(b"1 2\n3 \xff 4\n")
     with pytest.raises(BasketFormatError, match=r":2: not UTF-8"):
         load_basket(p)
+
+
+# every text reader: its error type, two good lines (a sweep table's first
+# is its header) and, for the formats that hold item ids, a line with ``id``
+# in an item id's place
+READERS = {
+    "basket": (load_basket, BasketFormatError, ["1 2", "3"], "1 {}"),
+    "itemsets": (read_itemsets, ValueError, ["1 2\t4\t3\t0.9", "3\t5\t\t"],
+                 "{}\t5\t\t"),
+    "truth": (read_truth, ValueError, ["0.5\t1 2", "0.5\t3"], "0.5\t1 {}"),
+    "model": (read_model, ValueError,
+              ["k = 1.0", "a = 2.0", "a_per_incidence = 0.02", "n_total = 10",
+               "incidence_total = 100", "transaction_count = 10",
+               "em_iterations = 0", "trimmed_items = 0"], None),
+    "sweep": (read_sweep, ValueError,
+              ["method\tparameter\tmined_count\tmax_size\ttp\tfp\t"
+               "positives_total\tprecision\trecall",
+               "support\t0.2\t3\t2\t1\t0\t4\t1\t0.25"], None),
+}
+
+
+@pytest.mark.parametrize("fmt", READERS)
+def test_every_reader_shares_the_line_rules(tmp_path, fmt):
+    read, error, good, id_line = READERS[fmt]
+    path = tmp_path / fmt
+
+    def load(lines):
+        path.write_bytes(b"".join(line + b"\n" for line in lines))
+        return read(path)
+
+    good = [line.encode() for line in good]
+    # blank and comment lines are skipped wherever they stand
+    skips = [b"# head", b"", b" \t", b"  # indented"]
+    assert load(skips + good[:1] + skips + good[1:] + skips) == load(good)
+    # a line that is not UTF-8 names its file and line
+    with pytest.raises(error, match=":2: not UTF-8"):
+        load([good[0], good[1] + b"\xe9"])
+    # an item id is a run of ASCII digits, in every format that holds ids
+    if id_line is not None:
+        for bad in ("-3", "1_000", "+7", "\u0663"):
+            with pytest.raises(error, match=":2: invalid item id"):
+                load([good[0], id_line.format(bad).encode()])
 
 
 # separators str.split() knows: the plain ones, then every other kind
