@@ -22,7 +22,7 @@ from .baselines import mine_allconf, mine_frequent
 from .mining import MinerConfig, nb_dfs
 from .nbmodel import NBParams
 from .synthgen import GroundTruth
-from .transactions import TransactionDatabase, _bitset, _read_lines
+from .transactions import TransactionDatabase, _bitset, _digits, _read_lines, _real
 
 __all__ = [
     "ALLCONF_GRID",
@@ -387,8 +387,10 @@ def read_sweep(path) -> list[dict]:
             raise ValueError(f"expected {len(_SWEEP_HEADER)} fields")
         method, parameter, *counts, prec, rec = fields
         return dict(zip(_SWEEP_HEADER, (
-            method, float(parameter), *map(int, counts),
-            float(prec) if prec else None, float(rec) if rec else None)))
+            method, _real(parameter, "parameter"),
+            *map(_digits, counts, _SWEEP_HEADER[2:-2]),
+            _real(prec, "precision") if prec else None,
+            _real(rec, "recall") if rec else None)))
 
     rows = _read_lines(path, row)
     if not header:

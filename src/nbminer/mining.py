@@ -11,9 +11,13 @@ once at least ``theta * size`` of its already-accepted subsets propose it
 (at least one). The search is depth-first; a repository that counts the
 proposals of every superset makes the subset counting exact, and a
 superset is emitted only at the proposal that admits it, so output is not
-repeated across branches. Within one run, a threshold scan is reused
-whenever a later node has the same candidate count and the same multiset
-of co-occurrence counts, since those inputs fix the scan's result.
+repeated across branches. The search holds an itemset as the ascending
+tuple of its ids, and an admitted itemset's record shares that tuple with
+its repository key. Within one run, a threshold scan is reused whenever a
+later node has the same candidate count and the same multiset of
+co-occurrence counts, since those inputs fix the scan's result; only
+inputs of at most ``_SCAN_CACHE_MAX`` counts are kept for reuse, because
+longer ones seldom repeat.
 """
 
 from __future__ import annotations
@@ -28,7 +32,13 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .nbmodel import NBParams, nb_pmf_prefix
-from .transactions import TransactionDatabase, _PairCounts, _item_id, _read_lines
+from .transactions import TransactionDatabase, _PairCounts, _digits, _read_lines, _real
+
+
+# nb_dfs keeps the threshold scans of nodes with at most this many candidate
+# counts. Such inputs repeat often in a deep search; longer ones, the first
+# level's among them, seldom do, yet would hold most of the search's memory.
+_SCAN_CACHE_MAX = 64
 
 
 def _check_fraction(name: str, value: float) -> None:
@@ -211,25 +221,29 @@ def nb_select(db: TransactionDatabase, itemset, params: NBParams,
     return Selection(chosen, sigma, prec, counts)
 
 
-def nb_gen(itemset, candidates, theta: float, repo: dict) -> list:
+def nb_gen(itemset: tuple, candidates, theta: float, repo: dict) -> list:
     """Count a proposal of each candidate extension's superset in ``repo``
-    (superset -> number of proposals); return the supersets this call admits.
+    (superset -> number of proposals); return the supersets this call
+    admits, as (superset, candidate) pairs.
 
-    A superset of size s is admitted by its max(1, ceil(theta * s))-th
-    proposal, the first at which theta * s of its subsets (and at least
-    one) have proposed it, so each superset is emitted once per run.
-    Candidates are processed in ascending id order.
+    ``itemset`` is a tuple of item ids in ascending order, and so is every
+    superset: ``repo``'s keys and the supersets returned are the ascending
+    tuples of their ids. A superset of size s is admitted by its
+    max(1, ceil(theta * s))-th proposal, the first at which theta * s of
+    its subsets (and at least one) have proposed it, so each superset is
+    emitted once per run. Candidates are processed in ascending id order.
     """
-    l = frozenset(itemset)
-    need = max(1, math.ceil(theta * (len(l) + 1)))
+    size = len(itemset)
+    need = max(1, math.ceil(theta * (size + 1)))
     emitted = []
     for c in sorted(candidates):
-        if c in l:
-            raise ValueError(f"candidate {c} already in base {sorted(l)}")
-        lp = l | {c}
+        at = bisect_left(itemset, c)
+        if at < size and itemset[at] == c:
+            raise ValueError(f"candidate {c} already in base {list(itemset)}")
+        lp = itemset[:at] + (c,) + itemset[at:]
         n = repo[lp] = repo.get(lp, 0) + 1
         if n == need:
-            emitted.append(lp)
+            emitted.append((lp, c))
     return emitted
 
 
@@ -257,18 +271,21 @@ def nb_dfs(db: TransactionDatabase, config: MinerConfig,
     results: list = []
 
     items0 = sorted(db.item_freq)
-    nb_gen(frozenset(), items0, theta, repo)  # singles are accepted by definition
+    nb_gen((), items0, theta, repo)  # singles are accepted by definition
     if not items0 or depth <= 1:
         return results
 
-    # (n_cand, sorted candidate counts) -> (sigma, precision); with k, pi and
-    # a_per_incidence fixed for the run, the key determines the scan
+    # (n_cand, sorted candidate counts) -> (sigma, precision), for keys of at
+    # most _SCAN_CACHE_MAX counts; with k, pi and a_per_incidence fixed for
+    # the run, the key determines the scan
     scans: dict = {}
 
     # called as `scans.get(key) or scan(key)`: every cached scan is a
     # non-empty tuple, so this runs on a miss only
     def scan(key):
-        found = scans[key] = _threshold_scan(key[1], key[0], k, apc * sum(key[1]), pi)
+        found = _threshold_scan(key[1], key[0], k, apc * sum(key[1]), pi)
+        if len(key[1]) <= _SCAN_CACHE_MAX:
+            scans[key] = found
         return found
 
     # counter counts every item over txns, l's own items too, and counts is
@@ -288,10 +305,9 @@ def nb_dfs(db: TransactionDatabase, config: MinerConfig,
         if sigma is None:
             return
         selected = [c for c, n in counter.items() if n >= sigma and c not in l]
-        for lp in nb_gen(l, selected, theta, repo):
-            (c,) = lp - l
+        for lp, c in nb_gen(l, selected, theta, repo):
             n = counter[c]
-            results.append(MinedItemset(tuple(sorted(lp)), n, sigma, prec))
+            results.append(MinedItemset(lp, n, sigma, prec))
             if n == len(txns):
                 expand(lp, txns, size + 1, counter, counts)
             else:
@@ -317,16 +333,14 @@ def nb_dfs(db: TransactionDatabase, config: MinerConfig,
             sigma, prec = scans.get(key) or scan(key)
             if sigma is None:
                 continue
-            l = frozenset((i,))
             selected = [items0[c] for c in cands[counts >= sigma].tolist()]
-            emitted = nb_gen(l, selected, theta, repo)
+            emitted = nb_gen((i,), selected, theta, repo)
             if not emitted:
                 continue
             owner = pairs.owners(tids)
-            for lp in emitted:
-                (c,) = lp - l
+            for lp, c in emitted:
                 col = pos[c]
-                results.append(MinedItemset(tuple(sorted(lp)), int(f[col]), sigma, prec))
+                results.append(MinedItemset(lp, int(f[col]), sigma, prec))
                 expand(lp, list(map(rows.__getitem__, owner[g == col].tolist())), 2)
     finally:
         del expand  # the closure holds itself; free the search state now
@@ -363,8 +377,8 @@ def read_itemsets(path) -> list:
             raise ValueError("expected 4 tab-separated fields")
         ids, freq, sigma, prec = fields
         return MinedItemset(
-            tuple(map(_item_id, ids.split())), int(freq),
-            None if not sigma else int(sigma) if sigma.isdigit() else float(sigma),
-            float(prec) if prec else None)
+            tuple(map(_digits, ids.split())), _digits(freq, "frequency"),
+            (_digits if sigma.isdigit() else _real)(sigma, "threshold") if sigma else None,
+            _real(prec, "precision") if prec else None)
 
     return _read_lines(path, row)

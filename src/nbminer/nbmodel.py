@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .transactions import TransactionDatabase, _read_lines
+from .transactions import TransactionDatabase, _digits, _read_lines, _real
 
 # below this log, exp() leaves the normal doubles and loses its digits
 _LOG_MIN_NORMAL = math.log(sys.float_info.min)
@@ -308,26 +308,26 @@ def write_model(params: NBParams, path) -> None:
 
 
 def read_model(path) -> NBParams:
-    """Read a model file written by write_model."""
+    """Read a model file written by write_model.
+
+    An integer value is a run of ASCII digits and a real one Python's float
+    syntax in ASCII (see ``transactions._real``); blanks and tabs around the
+    ``=`` belong to the separator.
+    """
     def row(text):
         key, sep, raw = text.partition("=")
         key = key.strip()
         if not sep or key not in _MODEL_REAL_KEYS + _MODEL_INT_KEYS:
             raise ValueError(f"unrecognized model line {text.strip()!r}")
-        try:
-            return key, float(raw)
-        except ValueError:
-            raise ValueError(f"bad value for {key}") from None
+        value = raw.strip(" \t")
+        if key in _MODEL_REAL_KEYS:
+            return key, _real(value, key)
+        return key, _digits(value, f"integer {key}")
 
     values = dict(_read_lines(path, row))
     missing = set(_MODEL_REAL_KEYS + _MODEL_INT_KEYS) - set(values)
     if missing:
         raise ValueError(f"{path}: missing model keys {sorted(missing)}")
-    for key in _MODEL_INT_KEYS:
-        v = values[key]
-        if not float(v).is_integer():
-            raise ValueError(f"{path}: {key} must be an integer, got {v}")
-        values[key] = int(v)
     stated = values.pop("a_per_incidence")
     try:
         params = NBParams(**values)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .transactions import TransactionDatabase, _item_id, _read_lines
+from .transactions import TransactionDatabase, _digits, _read_lines, _real
 
 
 # the largest mean numpy's Poisson sampler accepts
@@ -218,8 +218,8 @@ def read_truth(path) -> GroundTruth:
         fields = text.strip().split("\t")
         if len(fields) != 2:
             raise ValueError("expected `weight TAB items`")
-        w = float(fields[0])
-        items = frozenset(map(_item_id, fields[1].split()))
+        w = _real(fields[0], "weight")
+        items = frozenset(map(_digits, fields[1].split()))
         if not (math.isfinite(w) and w >= 0) or not items:
             raise ValueError("bad weight or empty pattern")
         return items, w

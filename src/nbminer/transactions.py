@@ -151,15 +151,26 @@ def _plain_rows(buf: np.ndarray) -> list | None:
 
 def _parse_lines(path) -> list:
     """The rows of any basket file, one line at a time."""
-    return _read_lines(path, lambda text: tuple(sorted(set(map(_item_id, text.split())))),
+    return _read_lines(path, lambda text: tuple(sorted(set(map(_digits, text.split())))),
                        BasketFormatError)
 
 
-def _item_id(token: str) -> int:
-    """An item id in a text file: a run of ASCII digits."""
+def _digits(token: str, what: str = "item id") -> int:
+    """An item id or a count in a text file: a run of ASCII digits."""
     if token.isascii() and token.isdigit():
         return int(token)
-    raise ValueError(f"invalid item id {token!r}")
+    raise ValueError(f"invalid {what} {token!r}")
+
+
+def _real(token: str, what: str) -> float:
+    """A real number in a text file: Python's float syntax in ASCII, with no
+    blank around it and no underscore."""
+    if token.isascii() and "_" not in token and token.strip() == token:
+        try:
+            return float(token)
+        except ValueError:
+            pass
+    raise ValueError(f"invalid {what} {token!r}")
 
 
 def _read_lines(path, parse, error=ValueError) -> list:

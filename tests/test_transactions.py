@@ -120,6 +120,43 @@ def test_every_reader_shares_the_line_rules(tmp_path, fmt):
                 load([good[0], id_line.format(bad).encode()])
 
 
+# for each reader whose lines hold numbers other than item ids: a line with
+# ``{}`` in an integer or a real field, valid with "7" there. It goes on
+# line 2, after the reader's first good line.
+NUMBER_LINES = {
+    "itemsets": [("1 2\t{}\t3\t0.9", int), ("1 2\t4\t3\t{}", float)],
+    "truth": [("{}\t1 2", float)],
+    "model": [("n_total = {}", int), ("k = {}", float)],
+    "sweep": [("support\t0.2\t{}\t2\t1\t0\t4\t1\t0.25", int),
+              ("support\t0.2\t3\t2\t1\t0\t4\t{}\t0.25", float)],
+}
+# what Python's int and float accept and the text formats do not
+BAD_NUMBERS = {int: ["+7", "1_000", "\u0663", "7.0", "1e3", "\u00a07", "7\u3000"],
+               float: ["1_0.5", "\u0663.5", "\u00a00.5", "0.5\u2003", "0x7", "7,5"]}
+
+
+@pytest.mark.parametrize("fmt", NUMBER_LINES)
+def test_every_reader_takes_numbers_in_ascii_only(tmp_path, fmt):
+    # a count is a run of ASCII digits and a real number Python's float
+    # syntax in ASCII, in every format; a field's blanks are refused where
+    # the format's separator is a tab
+    read, error, good, _ = READERS[fmt]
+    path = tmp_path / fmt
+
+    def load(line):
+        path.write_text("\n".join([good[0], line, *good[1:]]) + "\n", encoding="utf-8")
+        return read(path)
+
+    for line, kind in NUMBER_LINES[fmt]:
+        load(line.format("7"))
+        blanks = [] if fmt == "model" else [" 7", "7 "]
+        for bad in BAD_NUMBERS[kind] + blanks:
+            if line.startswith("{}") and bad != bad.lstrip():
+                continue  # a truth line's leading blanks are the line's
+            with pytest.raises(error, match=f"^{re.escape(str(path))}:2: invalid"):
+                load(line.format(bad))
+
+
 # separators str.split() knows: the plain ones, then every other kind
 PLAIN_SPACE = [" ", "\t"]
 OTHER_SPACE = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
