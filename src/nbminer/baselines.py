@@ -42,7 +42,7 @@ def _mine_vertical(db: TransactionDatabase, weight: dict, threshold: float) -> l
         return [MinedItemset(items, f, threshold, None) for items, f in out]
     m = len(ids)
     w = np.array([weight[i] for i in ids], np.int64)
-    pairs = _PairCounts(db, {i: j for j, i in enumerate(ids)})
+    pairs = _PairCounts(db, ids)
     part = []  # part[j]: the columns after j that form an accepted pair with j
     for j in range(m - 1):
         f = pairs.row(j)[j + 1:]

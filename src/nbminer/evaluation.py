@@ -51,11 +51,6 @@ ALLCONF_GRID = (0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05, 0.04, 0.03, 0.02, 0.01)
 SCORING_MODES = ("closure", "maximal")
 
 
-def _check_scoring_mode(scoring_mode: str) -> None:
-    if scoring_mode not in SCORING_MODES:
-        raise ValueError(f"scoring_mode must be one of {SCORING_MODES}, got {scoring_mode!r}")
-
-
 @dataclass(frozen=True)
 class EvalReport:
     """Precision/recall of a mined itemset collection.
@@ -149,7 +144,8 @@ def positives_for_mode(
 ) -> ClosurePositives | frozenset[frozenset[int]]:
     """The positives for a scoring mode: the subset closure's index, or
     the patterns of size >= 2 themselves."""
-    _check_scoring_mode(scoring_mode)
+    if scoring_mode not in SCORING_MODES:
+        raise ValueError(f"scoring_mode must be one of {SCORING_MODES}, got {scoring_mode!r}")
     if isinstance(truth, GroundTruth):
         patterns = list(truth.patterns)
     else:
@@ -164,24 +160,18 @@ def score(
     truth: GroundTruth | Iterable[Iterable[int]],
     *,
     scoring_mode: str = "closure",
-    positives: ClosurePositives | frozenset[frozenset[int]] | None = None,
 ) -> EvalReport:
     """Score mined itemsets against the ground truth.
 
     ``mined`` entries may be MinedItemset records or plain item
-    collections; size-1 entries are dropped before scoring.  Pass the
-    ``positives`` of ``positives_for_mode``, or a set of itemsets, to
-    build them once when scoring many runs against one truth.
+    collections; size-1 entries are dropped before scoring.
     """
-    if positives is None:
-        positives = positives_for_mode(truth, scoring_mode)
-    else:
-        _check_scoring_mode(scoring_mode)
-    return _report(mined, positives)
+    return _report(mined, positives_for_mode(truth, scoring_mode))
 
 
 def _report(mined: Iterable, positives) -> EvalReport:
-    """``score``'s report of ``mined`` against positives already built."""
+    """``score``'s report of ``mined`` against positives already built: the
+    ``positives_for_mode`` index, or a set of itemsets."""
     itemsets = {s for s in (frozenset(getattr(m, "items", m)) for m in mined) if len(s) >= 2}
 
     by_size: dict[int, list[int]] = {}

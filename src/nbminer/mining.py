@@ -23,6 +23,7 @@ longer ones seldom repeat.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -232,7 +233,11 @@ def nb_gen(itemset: tuple, candidates, theta: float, repo: dict) -> list:
     max(1, ceil(theta * s))-th proposal, the first at which theta * s of
     its subsets (and at least one) have proposed it, so each superset is
     emitted once per run. Candidates are processed in ascending id order.
+    Any other base raises ValueError, since it would key a superset apart
+    from its ascending tuple and split its votes.
     """
+    if type(itemset) is not tuple or any(map(operator.ge, itemset, itemset[1:])):
+        raise ValueError(f"base {itemset!r} is not a strictly ascending tuple")
     size = len(itemset)
     need = max(1, math.ceil(theta * (size + 1)))
     emitted = []
@@ -313,17 +318,16 @@ def nb_dfs(db: TransactionDatabase, config: MinerConfig,
             else:
                 expand(lp, [t for t in txns if c in t], size + 1)
 
-    pos = {i: j for j, i in enumerate(items0)}
-    pairs = _PairCounts(db, pos)
+    pairs = _PairCounts(db, items0)
     rows = db.transactions
+    # held[t]: row t holds the root item being expanded
+    held = np.zeros(len(rows), bool)
     try:
         # the first level on the pair-count kernel: item j's candidate counts
-        # are row j of X.T @ X without its diagonal, and the one gather that
-        # counts them also projects j's children
+        # are row j of X.T @ X without its diagonal, and child c's rows are
+        # the rows of c that hold j, as in Eclat
         for j, i in enumerate(items0):
-            tids = pairs.tids[j]
-            g = pairs.gather(tids)
-            f = pairs.count(g)
+            f = pairs.row(j)
             f[j] = 0
             cands = np.flatnonzero(f)
             if not cands.size:
@@ -337,11 +341,13 @@ def nb_dfs(db: TransactionDatabase, config: MinerConfig,
             emitted = nb_gen((i,), selected, theta, repo)
             if not emitted:
                 continue
-            owner = pairs.owners(tids)
+            held[pairs.tids[j]] = True
             for lp, c in emitted:
-                col = pos[c]
+                col = pairs.pos[c]
                 results.append(MinedItemset(lp, int(f[col]), sigma, prec))
-                expand(lp, list(map(rows.__getitem__, owner[g == col].tolist())), 2)
+                t = pairs.tids[col]
+                expand(lp, list(map(rows.__getitem__, t[held[t]].tolist())), 2)
+            held[pairs.tids[j]] = False
     finally:
         del expand  # the closure holds itself; free the search state now
     results.sort(key=lambda m: (len(m.items), m.items))

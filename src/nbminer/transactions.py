@@ -208,56 +208,44 @@ def write_basket(db: TransactionDatabase, path) -> None:
 
 class _PairCounts:
     """The item co-occurrence counts X.T @ X, one row at a time, X being the
-    transaction-by-column incidence matrix of ``db`` over the columns in
-    ``pos`` (item id -> column number 0..m-1). Counting is vertical, as in
-    Eclat (Zaki, "Scalable algorithms for association mining", IEEE TKDE
-    2000): ``tids[j]`` holds the transactions that contain column j, in
-    ascending order, and row j counts the columns of those transactions.
-    Entry j of row j is column j's own frequency. Any set of transactions
-    is counted the same way: ``count(gather(t))``.
+    transaction-by-column incidence matrix of ``db`` over the item ids
+    ``cols``, column j holding ``cols[j]``; ``pos`` maps each of those ids
+    to its column. Counting is vertical, as in Eclat (Zaki, "Scalable
+    algorithms for association mining", IEEE TKDE 2000): ``tids[j]`` holds
+    the transactions that contain column j, in ascending order, and
+    ``row(j)`` counts the columns of those transactions. Entry j of row j
+    is column j's own frequency.
 
     Nothing is sized by the item ids: the column of every incidence is kept
     in one array, transaction after transaction, with m standing for any
-    item not in ``pos``.
+    item not in ``cols``.
     """
 
-    __slots__ = ("tids", "_cols", "_starts", "_sizes", "_m")
+    __slots__ = ("pos", "tids", "_cols", "_starts", "_sizes", "_m")
 
-    def __init__(self, db: TransactionDatabase, pos: dict):
+    def __init__(self, db: TransactionDatabase, cols):
+        self.pos = pos = {i: j for j, i in enumerate(cols)}
         m, rows = len(pos), db.transactions
         self._m = m
-        self._cols = cols = np.fromiter(
+        self._cols = col = np.fromiter(
             map(pos.get, chain.from_iterable(rows), repeat(m)),
             np.min_scalar_type(m), db.incidence_total)
         self._sizes = sizes = np.fromiter(map(len, rows), np.int64, len(rows))
         self._starts = np.cumsum(sizes) - sizes
         # the transaction of every incidence, grouped by column; the stable
         # sort keeps each group in transaction order
-        tids = np.repeat(np.arange(len(rows)), sizes)[np.argsort(cols, kind="stable")]
-        self.tids = np.split(tids, np.cumsum(np.bincount(cols, minlength=m + 1)[:m]))[:m]
-
-    def gather(self, t: np.ndarray) -> np.ndarray:
-        """The column of every incidence of the transactions ``t`` (a
-        non-empty tid array), transaction after transaction."""
-        lens = self._sizes[t]
-        ends = np.cumsum(lens)
-        # where in the column array the incidences of those transactions lie
-        at = np.repeat(self._starts[t] - ends + lens, lens) + np.arange(ends[-1])
-        return self._cols[at]
-
-    def owners(self, t: np.ndarray) -> np.ndarray:
-        """The transaction of every incidence that ``gather(t)`` returns."""
-        return np.repeat(t, self._sizes[t])
-
-    def count(self, g: np.ndarray) -> np.ndarray:
-        """For each column, how many of the incidences ``g`` fall in it:
-        with g = gather(t), how many of the transactions t hold it."""
-        return np.bincount(g, minlength=self._m + 1)[:self._m]
+        tids = np.repeat(np.arange(len(rows)), sizes)[np.argsort(col, kind="stable")]
+        self.tids = np.split(tids, np.cumsum(np.bincount(col, minlength=m + 1)[:m]))[:m]
 
     def row(self, j: int) -> np.ndarray:
         """Row j of X.T @ X: for each column, how many transactions hold it
         together with column j. Column j must occur in some transaction."""
-        return self.count(self.gather(self.tids[j]))
+        t = self.tids[j]
+        lens = self._sizes[t]
+        ends = np.cumsum(lens)
+        # where in the column array the incidences of those transactions lie
+        at = np.repeat(self._starts[t] - ends + lens, lens) + np.arange(ends[-1])
+        return np.bincount(self._cols[at], minlength=self._m + 1)[:self._m]
 
 
 def _bitset(bits, n: int) -> int:

@@ -18,6 +18,7 @@ from nbminer.evaluation import (
     PI_GRID,
     SUPPORT_GRID,
     SweepEntry,
+    _report,
     allconf_runs,
     nb_runs,
     pi_grid_for_theta,
@@ -177,7 +178,7 @@ def test_score_matches_oracle_closure_property():
                    "maximal": frozenset(p for p in patterns if len(p) >= 2)}
         for mode, oracle in oracles.items():
             report = score(mined, truth, scoring_mode=mode)
-            assert report == score(mined, truth, scoring_mode=mode, positives=oracle)
+            assert report == _report(mined, oracle)
             assert report.positives_total == len(oracle)
             hits[mode] += report.true_positives > 0
 
@@ -247,13 +248,6 @@ def test_score_maximal_mode_counts_patterns_only():
     assert maximal.positives_total == 1
     with pytest.raises(ValueError):
         score(mined, truth, scoring_mode="roc")
-
-
-def test_score_precomputed_positives_matches():
-    truth = [{1, 2, 3}, {2, 3, 4}]
-    mined = [fs(1, 2), fs(2, 4), fs(1, 4)]
-    pre = positives_closure(truth)
-    assert score(mined, truth, positives=pre) == score(mined, truth)
 
 
 def test_score_adding_true_positive_improves():

@@ -259,33 +259,32 @@ def test_nb_gen_drops_already_frequent():
     assert repo[(1, 2)] == 2  # the second proposal is counted, not emitted again
 
 
-@st.composite
-def proposal_sequences(draw):
-    """Calls of nb_gen over at most 8 items: (itemset, candidates) pairs,
-    the candidates drawn from the items outside the itemset."""
-    items = range(draw(st.integers(1, 8)))
-    calls = []
-    for _ in range(draw(st.integers(1, 40))):
-        l = frozenset(draw(st.sets(st.sampled_from(items), max_size=len(items) - 1)))
-        rest = [i for i in items if i not in l]
-        calls.append((l, draw(st.lists(st.sampled_from(rest), max_size=len(rest)))))
-    return calls
+# calls of nb_gen over at most 8 items: (itemset, candidate picks) pairs,
+# the itemset a bitmask over the items and each pick an index into the
+# items outside it; fixed strategies, so no strategy is built per example
+PROPOSALS = st.lists(st.tuples(st.integers(0, 254), st.lists(st.integers(0, 7), max_size=8)),
+                     min_size=1, max_size=40)
 
 
 def test_nb_gen_matches_oracle_property():
     admitting = by_vote = 0
 
     @settings(deadline=None, max_examples=300)
-    @given(proposal_sequences(),
+    @given(st.integers(1, 8), PROPOSALS,
            st.one_of(st.sampled_from([0.0, 0.1, 1 / 3, 0.5, 2 / 3, 0.7, 1.0]),
                      st.floats(0.0, 1.0)))
-    def check(calls, theta):
+    def check(n_items, proposals, theta):
         # every call emits exactly what the definition admits at that
         # proposal; nb_gen takes and returns ascending tuples, the oracle sets
         nonlocal admitting, by_vote
         repo, state = {}, {}
         admitted = []
-        for l, candidates in calls:
+        for mask, picks in proposals:
+            # below 2**n_items - 1, so some item stays outside the itemset
+            mask %= 2**n_items - 1
+            l = frozenset(i for i in range(n_items) if mask >> i & 1)
+            rest = [i for i in range(n_items) if i not in l]
+            candidates = [rest[p % len(rest)] for p in picks[:len(rest)]]
             got = nb_gen(tuple(sorted(l)), candidates, theta, repo)
             assert [frozenset(lp) for lp, _ in got] == oracle_nb_gen(l, candidates, theta, state)
             assert all(lp == tuple(sorted(l | {c})) for lp, c in got)
@@ -294,8 +293,8 @@ def test_nb_gen_matches_oracle_property():
         by_vote += any(math.ceil(theta * len(lp)) > 1 for lp in admitted)
 
     check()
-    # 271 to 285 of the 300 examples admitted something, and 80 to 104 a
-    # superset that needed two proposals or more, over three runs
+    # 225 to 255 of the 300 examples admitted something, and 53 to 109 a
+    # superset that needed two proposals or more, over hypothesis seeds 0-9
     assert admitting >= 150, admitting
     assert by_vote >= 40, by_vote
 
@@ -303,6 +302,18 @@ def test_nb_gen_matches_oracle_property():
 def test_nb_gen_rejects_candidate_in_base():
     with pytest.raises(ValueError):
         nb_gen((1, 2), [2], 0.5, {})
+
+
+@pytest.mark.parametrize("base", [(3, 1), [1], (1, 1)])
+def test_nb_gen_rejects_a_base_not_strictly_ascending(base):
+    # (3, 1) would key (3, 1, 2) apart from (1, 2, 3) and split its votes
+    with pytest.raises(ValueError, match="base .* strictly ascending tuple"):
+        nb_gen(base, [2], 0.0, {})
+
+
+def test_nb_gen_accepts_an_empty_or_single_base():
+    assert nb_gen((), [2], 0.0, {}) == [((2,), 2)]
+    assert nb_gen((1,), [2], 0.0, {}) == [((1, 2), 2)]
 
 
 def test_miner_config_validation():
@@ -376,27 +387,6 @@ def random_db_and_params(seed, max_items=12, max_txns=60):
                       transaction_count=len(db), em_iterations=0,
                       trimmed_items=0)
     return db, params
-
-
-def test_nb_dfs_matches_level_wise_oracle():
-    checked = non_empty = 0
-    for seed in range(25):
-        db, params = random_db_and_params(seed)
-        if db is None:
-            continue
-        for theta in (0.0, 0.5, 1.0):
-            for pi in (0.3, 0.5, 0.9):
-                config = MinerConfig(params=params, pi=pi, theta=theta)
-                mined = nb_dfs(db, config)
-                got = {m.itemset(): m.freq for m in mined}
-                expect = oracle_nb_frequent(db, params, pi, theta)
-                assert got == expect, (seed, theta, pi)
-                checked += 1
-                non_empty += bool(expect)
-    assert checked >= 200
-    # pi 0.9 mines nothing on these small databases, so the lower pis must
-    # give the comparisons something to compare
-    assert non_empty >= 50, non_empty
 
 
 def _params_for(db, k, extra_items):

@@ -282,21 +282,12 @@ def test_pair_counts_match_brute_force(data):
     # the columns cover some of the observed items, in any order
     cols = data.draw(st.permutations(sorted(db.item_freq)))
     cols = cols[:data.draw(st.integers(0, len(cols)))]
-    pos = {i: j for j, i in enumerate(cols)}
     m = len(cols)
-    pairs = _PairCounts(db, pos)
+    pairs = _PairCounts(db, cols)
+    assert pairs.pos == {i: j for j, i in enumerate(cols)}
     x = np.array([[i in t for i in cols] for t in db.transactions], np.int64)
     xtx = x.T @ x
     assert len(pairs.tids) == m
     for j, i in enumerate(cols):
         assert pairs.tids[j].tolist() == [t for t, row in enumerate(db.transactions) if i in row]
         assert pairs.row(j).tolist() == xtx[j].tolist()
-    t = np.array(data.draw(st.lists(st.integers(0, len(db) - 1), min_size=1, unique=True)))
-    g = pairs.gather(t)
-    assert pairs.count(g).tolist() == x[t].sum(axis=0).tolist()
-    owner = pairs.owners(t)
-    assert len(owner) == len(g) == sum(len(db.transactions[tid]) for tid in t)
-    for tid, col in zip(owner.tolist(), g.tolist()):
-        row = db.transactions[tid]
-        # m stands for an item outside the columns
-        assert cols[col] in row if col < m else any(i not in pos for i in row)
