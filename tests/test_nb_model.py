@@ -279,6 +279,55 @@ def test_fit_database_pipeline():
     assert params.n_total >= trimmed.total_items()
 
 
+# write_model text of fit_database on the golden database (862 items), frozen
+# from the fit as first written: every real to 17 digits, at the default trim,
+# with no trim, and with a known item count of 862 + 50
+GOLDEN_FITS = [
+    ({}, """k = 6.6924078386657078
+a = 0.44834505396966851
+a_per_incidence = 0.00015030005161571186
+n_total = 917
+incidence_total = 2983
+transaction_count = 300
+em_iterations = 8
+trimmed_items = 22
+"""),
+    ({"trim_fraction": 0.0}, """k = 3.5431530983756203
+a = 0.87098416020643443
+a_per_incidence = 0.00029198262159116139
+n_total = 967
+incidence_total = 2983
+transaction_count = 300
+em_iterations = 9
+trimmed_items = 0
+"""),
+    ({"n_known": 912}, """k = 6.9559283847181153
+a = 0.43349366330705513
+a_per_incidence = 0.00014532137556388036
+n_total = 912
+incidence_total = 2983
+transaction_count = 300
+em_iterations = 0
+trimmed_items = 22
+"""),
+]
+
+
+@pytest.mark.parametrize("kwargs, text", GOLDEN_FITS)
+def test_fit_database_golden_model(golden_db_and_params, kwargs, text, tmp_path):
+    db, _ = golden_db_and_params
+    assert len(db.item_freq) == 862
+    params, _ = fit_database(db, **kwargs)
+    write_model(params, tmp_path / "m.model")
+    assert (tmp_path / "m.model").read_text(encoding="utf-8") == text
+
+
+def test_gof_chi2_golden(golden_db_and_params):
+    db, _ = golden_db_and_params
+    params, hist = fit_database(db)
+    assert tuple(gof_chi2(hist, params)) == (21.021105580697153, 8, 0.007091575424293559)
+
+
 def test_rescaling():
     params = NBParams(k=0.8, a=100.0, n_total=500, incidence_total=20000,
                       transaction_count=1000, em_iterations=2, trimmed_items=0)
