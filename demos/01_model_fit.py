@@ -23,9 +23,10 @@ print(f"database: {len(db)} transactions, {len(db.item_freq)} distinct items, "
 params, hist = fit_database(db, trim_fraction=0.025)
 print(f"\nfitted: k={params.k:.4f}  a={params.a:.2f}  "
       f"mean frequency a*k={params.a * params.k:.1f}")
-unseen = params.n_total - round(hist.total_items())
+kept = sum(hist.values())  # hist maps each frequency to its number of items
+unseen = params.n_total - kept
 print(f"zero-class estimate: {unseen} unseen items on top of "
-      f"{round(hist.total_items())} kept ones ({params.trimmed_items} trimmed) "
+      f"{kept} kept ones ({params.trimmed_items} trimmed) "
       f"-> n_total={params.n_total} (EM passes: {params.em_iterations}; at "
       f"this size nearly every item shows up, so a tiny zero class is the "
       f"expected answer)")
@@ -33,7 +34,7 @@ print(f"zero-class estimate: {unseen} unseen items on top of "
 print("\nfrequency band   observed items   expected items")
 edges = [1, 41, 81, 121, 161, 201, 261, 341]
 for lo, hi in zip(edges, edges[1:]):
-    obs = sum(c for r, c in hist.counts.items() if lo <= r < hi)
+    obs = sum(c for r, c in hist.items() if lo <= r < hi)
     exp = params.n_total * nb_pmf_prefix(params.k, params.a, hi - 1)[lo:].sum()
     print(f"  {lo:4d}-{hi - 1:<4d}     {obs:10.0f} {exp:16.1f}")
 

@@ -24,16 +24,13 @@ from .mining import (
 )
 from .nbmodel import (
     ConvergenceError,
-    FreqHistogram,
     NBParams,
     UnderdispersedError,
     fit_database,
-    fit_em,
     fit_moments,
     gof_chi2,
     nb_pmf_prefix,
     read_model,
-    trim_top,
     write_model,
 )
 from .synthgen import (

@@ -62,14 +62,11 @@ def _fit_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--total-items", type=int, default=None,
                      help="known total number of available items; skips the "
                           "zero-class EM estimate")
-    sub.add_argument("--max-iter", type=int, default=1000,
-                     help="EM iteration cap (default 1000)")
 
 
 def cmd_fit(args: argparse.Namespace):
     db = load_basket(args.basket)
-    params, hist = fit_database(db, trim_fraction=args.trim,
-                                n_known=args.total_items, max_iter=args.max_iter)
+    params, hist = fit_database(db, trim_fraction=args.trim, n_known=args.total_items)
     write_model(params, args.out)
     print(f"fitted: k={params.k:.6g} a={params.a:.6g} n_total={params.n_total} "
           f"em_iterations={params.em_iterations} trimmed_items={params.trimmed_items}")
@@ -95,8 +92,7 @@ def cmd_mine(args: argparse.Namespace):
         params = read_model(args.model)
         inputs.append(args.model)
     else:
-        params, _ = fit_database(db, trim_fraction=args.trim,
-                                 n_known=args.total_items, max_iter=args.max_iter)
+        params, _ = fit_database(db, trim_fraction=args.trim, n_known=args.total_items)
     mined = nb_dfs(db, MinerConfig(params, pi=args.pi, theta=args.theta),
                    max_size=args.max_size)
     _write_mined(args.out, mined)
@@ -183,6 +179,8 @@ def _csv_floats(text: str) -> tuple:
 
 
 def cmd_benchmark(args: argparse.Namespace):
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
     methods = tuple(tok.strip() for tok in args.methods.split(",") if tok.strip())
     unknown = set(methods) - {"nb", "support", "allconf"}
     if unknown:

@@ -31,46 +31,11 @@ class UnderdispersedError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """The zero-class iteration did not converge within max_iter."""
+    """The zero-class iteration did not settle within _EM_MAX_ITER passes."""
 
 
-@dataclass(frozen=True)
-class FreqHistogram:
-    """Frequency histogram: maps frequency r to the number of items seen r times.
-
-    Values may be fractional (the estimated zero class is real-valued while
-    the fit iterates).
-    """
-
-    counts: dict
-
-    def __post_init__(self):
-        for r, c in self.counts.items():
-            if not isinstance(r, int) or r < 0:
-                raise ValueError(f"frequency classes must be non-negative ints, got {r!r}")
-            if c < 0:
-                raise ValueError(f"negative count {c!r} for frequency {r}")
-
-    @classmethod
-    def from_database(cls, db: TransactionDatabase) -> "FreqHistogram":
-        return cls(dict(Counter(db.item_freq.values())))
-
-    def total_items(self):
-        return sum(self.counts.values())
-
-    def max_frequency(self) -> int:
-        return max((r for r, c in self.counts.items() if c > 0), default=0)
-
-    def moments(self, extra_zeros=0.0):
-        """Sample mean and variance (ddof=1), optionally with extra zero entries."""
-        n = self.total_items() + extra_zeros
-        if n <= 1:
-            raise ValueError("need more than one item to compute moments")
-        s1 = sum(r * c for r, c in self.counts.items())
-        s2 = sum(r * r * c for r, c in self.counts.items())
-        mean = s1 / n
-        var = (s2 - n * mean * mean) / (n - 1)
-        return mean, var
+# cap on the zero-class passes of _fit_em; the presets' fits settle in under ten
+_EM_MAX_ITER = 1000
 
 
 @dataclass(frozen=True)
@@ -162,19 +127,31 @@ def fit_moments(mean: float, variance: float):
     return k, mean / k
 
 
-def trim_top(hist: FreqHistogram, fraction: float):
+def _moments(hist: dict, extra_zeros=0.0):
+    """Sample mean and variance (ddof=1) of a ``{frequency: items}``
+    histogram, optionally with extra zero entries."""
+    n = sum(hist.values()) + extra_zeros
+    if n <= 1:
+        raise ValueError("need more than one item to compute moments")
+    s1 = sum(r * c for r, c in hist.items())
+    s2 = sum(r * r * c for r, c in hist.items())
+    mean = s1 / n
+    var = (s2 - n * mean * mean) / (n - 1)
+    return mean, var
+
+
+def _trim_top(hist: dict, fraction: float):
     """Remove the ceil(fraction * items) highest-frequency items.
 
-    Returns (trimmed histogram, number of items removed). Classes are
-    drained from the highest frequency downward; a class is reduced
+    Returns (trimmed copy of ``hist``, number of items removed). Classes
+    are drained from the highest frequency downward; a class is reduced
     partially when the quota lands inside it.
     """
     if not (0.0 <= fraction < 1.0):
         raise ValueError(f"trim fraction must be in [0, 1), got {fraction}")
-    observed = hist.total_items()
     # round() guards the float product before ceil: 0.025*360 must give 9, not 10
-    quota = math.ceil(round(fraction * observed, 9))
-    counts = dict(hist.counts)
+    quota = math.ceil(round(fraction * sum(hist.values()), 9))
+    counts = dict(hist)
     removed = 0
     for r in sorted(counts, reverse=True):
         if removed >= quota:
@@ -184,10 +161,10 @@ def trim_top(hist: FreqHistogram, fraction: float):
         if counts[r] == 0:
             del counts[r]
         removed += take
-    return FreqHistogram(counts), removed
+    return counts, removed
 
 
-def fit_em(hist: FreqHistogram, n_known: int = None, *, max_iter: int = 1000):
+def _fit_em(hist: dict, n_known: int = None):
     """Fit (k, a) to an observed frequency histogram, estimating the zero class.
 
     Returns (k, a, n_total, em_iterations). ``hist`` holds observed items
@@ -197,9 +174,7 @@ def fit_em(hist: FreqHistogram, n_known: int = None, *, max_iter: int = 1000):
     z <- (observed + z) * (1+a)^(-k), refitting each pass, until z moves
     by less than 0.5.
     """
-    if 0 in hist.counts:
-        raise ValueError("observed histogram must not contain a zero frequency class")
-    observed = hist.total_items()
+    observed = sum(hist.values())
     if observed < 2:
         raise ValueError("need at least 2 observed items to fit")
 
@@ -208,61 +183,64 @@ def fit_em(hist: FreqHistogram, n_known: int = None, *, max_iter: int = 1000):
         if zero < 0:
             raise ValueError(
                 f"n_known={n_known} is below the observed item count {observed}")
-        k, a = fit_moments(*hist.moments(extra_zeros=zero))
+        k, a = fit_moments(*_moments(hist, extra_zeros=zero))
         return k, a, n_known, 0
 
     z_prev = 0.0
     iterations = 0
     while True:
-        mean, var = hist.moments(extra_zeros=z_prev)
+        mean, var = _moments(hist, extra_zeros=z_prev)
         k, a = fit_moments(mean, var)
         iterations += 1
         z = (observed + z_prev) * (1.0 + a) ** (-k)
         if abs(z - z_prev) < 0.5:
             break
-        if iterations >= max_iter:
+        if iterations >= _EM_MAX_ITER:
             raise ConvergenceError(
-                f"zero-class estimate did not settle in {max_iter} iterations")
+                f"zero-class estimate did not settle in {_EM_MAX_ITER} iterations")
         z_prev = z
     return k, a, observed + int(math.floor(z + 0.5)), iterations
 
 
 def fit_database(db: TransactionDatabase, trim_fraction: float = 0.025,
-                 n_known: int = None, max_iter: int = 1000):
+                 n_known: int = None):
     """Histogram, trim, fit: the full pipeline from a database to NBParams.
 
-    Returns (params, trimmed observed histogram). The default trim drops the
-    top 2.5% of items as outliers, which suits real data; pass 0.0 for
-    synthetic data. ``n_known``, when given, is the total number of items
-    assumed to exist (the zero class becomes n_known minus the post-trim
-    observed count). Without it, ``n_total`` is the post-trim observed
-    count plus the estimated zero class, which leaves out the trimmed items:
-    below the basket's item count whenever anything was trimmed.
+    Returns (params, trimmed observed histogram as a ``{frequency: items}``
+    dict). The default trim drops the top 2.5% of items as outliers, which
+    suits real data; pass 0.0 for synthetic data. ``n_known``, when given,
+    is the total number of items assumed to exist (the zero class becomes
+    n_known minus the post-trim observed count). Without it, ``n_total`` is
+    the post-trim observed count plus the estimated zero class, which
+    leaves out the trimmed items: below the basket's item count whenever
+    anything was trimmed.
     """
-    hist = FreqHistogram.from_database(db)
-    trimmed, removed = trim_top(hist, trim_fraction)
-    k, a, n_total, iterations = fit_em(trimmed, n_known, max_iter=max_iter)
+    trimmed, removed = _trim_top(Counter(db.item_freq.values()), trim_fraction)
+    k, a, n_total, iterations = _fit_em(trimmed, n_known)
     params = NBParams(k=k, a=a, n_total=n_total, incidence_total=db.incidence_total,
                       transaction_count=len(db), em_iterations=iterations,
                       trimmed_items=removed)
     return params, trimmed
 
 
-def gof_chi2(hist: FreqHistogram, params: NBParams) -> GofResult:
+def gof_chi2(hist: dict, params: NBParams) -> GofResult:
     """Chi-square goodness of fit of the model against a frequency histogram.
 
-    The model's items that ``hist`` does not hold (``n_total`` less its
-    rounded total) join class 0 as never seen. Adjacent frequency classes
-    are merged upward from r=0 until each merged class has expected count
-    >= 5; the final class is open-ended (all remaining probability mass)
-    and is folded into its neighbor when its expectation falls short.
+    ``hist`` maps each frequency r (a non-negative int) to the number of
+    items seen r times; counts may be fractional. The model's items that
+    ``hist`` does not hold (``n_total`` less its rounded total) join class
+    0 as never seen. Adjacent frequency classes are merged upward from r=0
+    until each merged class has expected count >= 5; the final class is
+    open-ended (all remaining probability mass) and is folded into its
+    neighbor when its expectation falls short.
     df = merged classes - 1 - 2 fitted parameters.
     """
-    counts = hist.counts
-    unseen = params.n_total - round(hist.total_items())
-    if unseen > 0:
-        counts = {**counts, 0: counts.get(0, 0) + unseen}
-    r_hi = hist.max_frequency()
+    for r, c in hist.items():
+        if not (isinstance(r, int) and r >= 0 and c >= 0):
+            raise ValueError(f"need a non-negative int class and count, got {r!r}: {c!r}")
+    unseen = params.n_total - round(sum(hist.values()))
+    counts = {**hist, 0: hist.get(0, 0) + unseen} if unseen > 0 else hist
+    r_hi = max((r for r, c in hist.items() if c > 0), default=0)
     pmf = nb_pmf_prefix(params.k, params.a, r_hi)
     n = params.n_total
     classes = []

@@ -305,6 +305,18 @@ def test_benchmark_invalid_pi_fails_its_grid_point_only(small_dataset, tmp_path,
     assert lines[1].startswith("nb-theta0.5\t0.95\t")
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_benchmark_refuses_jobs_below_one(tmp_path, capsys, jobs):
+    # refused before the (missing) basket is read, with no table written
+    out = tmp_path / "jobs.tsv"
+    rc = main(["benchmark", "--basket", str(tmp_path / "absent.basket"),
+               "--truth", str(tmp_path / "absent.truth"), "--out", str(out),
+               "--jobs", jobs])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --jobs must be at least 1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_benchmark_table_is_the_library_sweep(small_dataset, tmp_path):
     basket, truth = small_dataset
     out, expected = tmp_path / "cli.tsv", tmp_path / "lib.tsv"

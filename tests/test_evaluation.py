@@ -142,25 +142,38 @@ def test_closure_total_of_big_and_overlapping_patterns():
     assert 39_186 == sum(math.comb(16, size) for size in range(2, 9))
 
 
-@st.composite
-def truth_and_mined(draw):
-    """A truth, as GroundTruth or a list that may repeat patterns, with
-    overlapping and size-1 patterns, and a mined list of its patterns'
+# a truth and a mined list over one of ID_RANGES, every itemset a nonempty
+# set of picks (indices into a pool of ids): patterns, then repeats of them;
+# mined entries, each a subset of a pattern (picks among its items) or any
+# itemset, then repeats of them; each mined entry a set or a record, and the
+# truth a GroundTruth or a plain list. Fixed strategies, so no strategy is
+# built per example.
+PICKS = st.frozensets(st.integers(0, 7), min_size=1)
+TRUTH_AND_MINED = st.tuples(
+    st.sampled_from(ID_RANGES),
+    st.lists(PICKS, max_size=6),
+    st.lists(st.integers(0, 7), max_size=2),
+    st.lists(st.tuples(st.booleans(), st.integers(0, 7), PICKS, st.booleans()), max_size=12),
+    st.lists(st.tuples(st.integers(0, 14), st.booleans()), max_size=3),
+    st.booleans())
+
+
+def _truth_and_mined(ids, pattern_picks, repeats, entries, mined_repeats, as_truth):
+    """Decode a TRUTH_AND_MINED draw: truths that repeat patterns, with
+    overlapping and size-1 patterns, and mined lists of the patterns'
     subsets and other itemsets, with repeats, single items and records."""
-    ids = draw(st.sampled_from(ID_RANGES))
-    itemsets = st.frozensets(st.sampled_from(ids), min_size=1, max_size=len(ids))
-    patterns = draw(st.lists(itemsets, max_size=6))
-    if patterns:
-        patterns += draw(st.lists(st.sampled_from(patterns), max_size=2))
-        inside = st.sampled_from(patterns).flatmap(
-            lambda p: st.frozensets(st.sampled_from(sorted(p)), min_size=1))
-        itemsets = st.one_of(inside, itemsets)
-    mined = draw(st.lists(itemsets, max_size=12))
-    mined += draw(st.lists(st.sampled_from(mined), max_size=3)) if mined else []
-    as_rows = draw(st.lists(st.booleans(), min_size=len(mined), max_size=len(mined)))
-    mined = [MinedItemset(tuple(sorted(s)), 1, 1, 1.0) if row else s
-             for s, row in zip(mined, as_rows)]
-    if draw(st.booleans()):
+    def items(picks, pool):
+        return frozenset(pool[j % len(pool)] for j in picks)
+
+    patterns = [items(picks, ids) for picks in pattern_picks]
+    patterns += [patterns[i % len(patterns)] for i in repeats] if patterns else []
+    mined = []
+    for inside, pick, picks, row in entries:
+        pool = sorted(patterns[pick % len(patterns)]) if inside and patterns else ids
+        mined.append((items(picks, pool), row))
+    mined += [(mined[i % len(mined)][0], row) for i, row in mined_repeats] if mined else []
+    mined = [MinedItemset(tuple(sorted(s)), 1, 1, 1.0) if row else s for s, row in mined]
+    if as_truth:
         distinct = set(patterns)
         return GroundTruth({p: 1 / len(distinct) for p in distinct}), mined
     return patterns, mined
@@ -170,9 +183,9 @@ def test_score_matches_oracle_closure_property():
     hits = {"closure": 0, "maximal": 0}
 
     @settings(deadline=None, max_examples=300)
-    @given(truth_and_mined())
+    @given(TRUTH_AND_MINED)
     def check(case):
-        truth, mined = case
+        truth, mined = _truth_and_mined(*case)
         patterns = list(getattr(truth, "patterns", truth))
         oracles = {"closure": positives_closure(truth),
                    "maximal": frozenset(p for p in patterns if len(p) >= 2)}
@@ -183,6 +196,8 @@ def test_score_matches_oracle_closure_property():
             hits[mode] += report.true_positives > 0
 
     check()
+    # 116 to 161 of the 300 examples scored a true positive in closure mode
+    # and 98 to 126 in maximal mode, over hypothesis seeds 0-9
     assert hits["closure"] >= 100 and hits["maximal"] >= 50, hits
 
 

@@ -21,15 +21,14 @@ MODULES = sorted(p for d in (ROOT / "src" / "nbminer", ROOT / "tests", ROOT / "d
 # what a caller calls or builds as input; the records that calls return stay
 # importable from their modules. A new export is added here on purpose.
 EXPORTS = [
-    "BasketFormatError", "ConvergenceError", "FreqHistogram", "GenConfig",
-    "GroundTruth", "MinerConfig", "NBParams", "PRESETS", "TransactionDatabase",
+    "BasketFormatError", "ConvergenceError", "GenConfig", "GroundTruth",
+    "MinerConfig", "NBParams", "PRESETS", "TransactionDatabase",
     "UnderdispersedError", "allconf_runs", "find_threshold", "fit_database",
-    "fit_em", "fit_moments", "generate", "gof_chi2", "load_basket",
-    "mine_allconf", "mine_frequent", "nb_dfs", "nb_gen", "nb_pmf_prefix",
-    "nb_runs", "nb_select", "predicted_precision", "preset_config",
-    "read_itemsets", "read_model", "read_sweep", "read_truth", "score",
-    "support_runs", "sweep", "trim_top", "write_basket", "write_itemsets",
-    "write_model", "write_sweep", "write_truth",
+    "fit_moments", "generate", "gof_chi2", "load_basket", "mine_allconf",
+    "mine_frequent", "nb_dfs", "nb_gen", "nb_pmf_prefix", "nb_runs",
+    "nb_select", "predicted_precision", "preset_config", "read_itemsets",
+    "read_model", "read_sweep", "read_truth", "score", "support_runs", "sweep",
+    "write_basket", "write_itemsets", "write_model", "write_sweep", "write_truth",
 ]
 
 

@@ -438,6 +438,40 @@ def test_nb_dfs_matches_oracle_property():
     assert non_empty >= 50, non_empty
 
 
+def test_mining_metamorphic_property():
+    # runs checked against each other, not against an oracle: the order of
+    # the rows does not matter, an item id only names its item, and a
+    # database written twice holds the same baseline itemsets at twice the
+    # frequency
+    non_empty = 0
+
+    @settings(deadline=None, max_examples=150)
+    @given(small_db_and_params(), st.floats(0.05, 0.99), st.sampled_from([0.0, 0.5, 1.0]),
+           st.randoms(use_true_random=False), st.floats(0.01, 1.0))
+    def check(db_params, pi, theta, rng, threshold):
+        nonlocal non_empty
+        db, params = db_params
+        config = MinerConfig(params=params, pi=pi, theta=theta)
+        mined = nb_dfs(db, config)
+        rows = list(db)
+        rng.shuffle(rows)
+        assert nb_dfs(TransactionDatabase(rows), config) == mined
+        # strictly increasing, so the ids keep their order
+        def big(items):
+            return tuple(i * 10**20 + 7 for i in items)
+        assert nb_dfs(TransactionDatabase(map(big, db)), config) == [
+            m._replace(items=big(m.items)) for m in mined]
+        twice = TransactionDatabase(list(db) * 2)
+        for miner in (mine_frequent, mine_allconf):
+            assert miner(twice, threshold) == [
+                m._replace(freq=2 * m.freq) for m in miner(db, threshold)]
+        non_empty += bool(mined)
+
+    check()
+    # 44 to 84 of the 150 examples mined something over hypothesis seeds 0-9
+    assert non_empty >= 30, non_empty
+
+
 @pytest.mark.parametrize("name", sorted(EDGE_DATABASES))
 def test_nb_dfs_matches_oracle_on_edge_inputs(name):
     db = TransactionDatabase(EDGE_DATABASES[name])

@@ -5,20 +5,21 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from nbminer import nbmodel
 from nbminer.mining import _cdf
 from nbminer.nbmodel import (
     _LOG_MIN_NORMAL,
     ConvergenceError,
-    FreqHistogram,
     NBParams,
     UnderdispersedError,
+    _fit_em,
+    _moments,
+    _trim_top,
     fit_database,
-    fit_em,
     fit_moments,
     gof_chi2,
     nb_pmf_prefix,
     read_model,
-    trim_top,
     write_model,
 )
 from nbminer.transactions import TransactionDatabase
@@ -175,68 +176,66 @@ def test_fit_moments_errors():
 
 
 def test_trim_top_quota():
-    hist = FreqHistogram({1: 300, 2: 30, 5: 10, 9: 2})  # 342 items
-    trimmed, removed = trim_top(hist, 0.025)
+    hist = {1: 300, 2: 30, 5: 10, 9: 2}  # 342 items
+    trimmed, removed = _trim_top(hist, 0.025)
     assert removed == 9  # ceil(0.025 * 342) = ceil(8.55)
-    assert trimmed.total_items() == 333
+    assert sum(trimmed.values()) == 333
     # drained from the top: both r=9 items and seven of the r=5 items
-    assert trimmed.counts == {1: 300, 2: 30, 5: 3}
+    assert trimmed == {1: 300, 2: 30, 5: 3}
 
 
 def test_trim_top_partial_class():
-    trimmed, removed = trim_top(FreqHistogram({1: 10}), 0.05)
+    trimmed, removed = _trim_top({1: 10}, 0.05)
     assert removed == 1
-    assert trimmed.counts == {1: 9}
+    assert trimmed == {1: 9}
 
 
 def test_trim_top_zero_fraction():
-    hist = FreqHistogram({1: 4, 3: 2})
-    trimmed, removed = trim_top(hist, 0.0)
+    hist = {1: 4, 3: 2}
+    trimmed, removed = _trim_top(hist, 0.0)
     assert removed == 0
-    assert trimmed.counts == hist.counts
+    assert trimmed == hist
 
 
 def test_trim_top_float_quota_guard():
     # 0.025 * 360 is exactly 9; float noise must not push the ceil to 10
-    hist = FreqHistogram({1: 350, 4: 10})
-    _, removed = trim_top(hist, 0.025)
+    hist = {1: 350, 4: 10}
+    _, removed = _trim_top(hist, 0.025)
     assert removed == 9
 
 
 def test_trim_top_rejects_fraction():
     with pytest.raises(ValueError):
-        trim_top(FreqHistogram({1: 5}), 1.0)
+        _trim_top({1: 5}, 1.0)
     with pytest.raises(ValueError):
-        trim_top(FreqHistogram({1: 5}), -0.1)
+        _trim_top({1: 5}, -0.1)
 
 
 def test_fit_em_with_n_known_is_single_pass():
-    hist = FreqHistogram({1: 50, 2: 25, 3: 10, 6: 5, 12: 3})
-    observed = hist.total_items()
-    k, a, n_total, iterations = fit_em(hist, n_known=observed + 20)
+    hist = {1: 50, 2: 25, 3: 10, 6: 5, 12: 3}
+    observed = sum(hist.values())
+    k, a, n_total, iterations = _fit_em(hist, n_known=observed + 20)
     assert iterations == 0
     assert n_total == observed + 20
-    mean, var = hist.moments(extra_zeros=20)
+    mean, var = _moments(hist, extra_zeros=20)
     assert (k, a) == fit_moments(mean, var)
 
 
 def test_fit_em_n_known_equal_to_observed():
-    hist = FreqHistogram({1: 50, 2: 25, 3: 10, 6: 5, 12: 3})
-    k, a, n_total, iterations = fit_em(hist, n_known=hist.total_items())
-    assert n_total == hist.total_items()
+    hist = {1: 50, 2: 25, 3: 10, 6: 5, 12: 3}
+    k, a, n_total, iterations = _fit_em(hist, n_known=sum(hist.values()))
+    assert n_total == sum(hist.values())
     assert iterations == 0
-    mean, var = hist.moments()
+    mean, var = _moments(hist)
     assert (k, a) == fit_moments(mean, var)
 
 
 def test_fit_em_errors():
-    hist = FreqHistogram({1: 50, 2: 25, 3: 10})
+    hist = {1: 50, 2: 25, 3: 10}
     with pytest.raises(ValueError):
-        fit_em(hist, n_known=10)  # below observed count
-    with pytest.raises(ValueError):
-        fit_em(FreqHistogram({0: 3, 1: 5}))  # zero class present
+        _fit_em(hist, n_known=10)  # below observed count
     with pytest.raises(UnderdispersedError):
-        fit_em(FreqHistogram({5: 100}), n_known=100)  # no spread at all
+        _fit_em({5: 100}, n_known=100)  # no spread at all
 
 
 def test_fit_em_recovers_simulated_model():
@@ -246,19 +245,20 @@ def test_fit_em_recovers_simulated_model():
     lam = rng.gamma(shape=k_true, scale=a_true, size=n_items)
     freqs = rng.poisson(lam)
     observed = freqs[freqs > 0]
-    hist = FreqHistogram(dict(Counter(int(f) for f in observed)))
-    k, a, n_total, iterations = fit_em(hist)
+    hist = dict(Counter(int(f) for f in observed))
+    k, a, n_total, iterations = _fit_em(hist)
     assert iterations >= 1
     assert k == pytest.approx(k_true, rel=0.15)
     assert a == pytest.approx(a_true, rel=0.15)
     assert n_total == pytest.approx(n_items, rel=0.05)
-    assert n_total >= hist.total_items()
+    assert n_total >= sum(hist.values())
 
 
-def test_fit_em_convergence_cap():
-    hist = FreqHistogram({1: 50, 2: 25, 3: 10, 6: 5, 12: 3})
+def test_fit_em_convergence_cap(monkeypatch):
+    monkeypatch.setattr(nbmodel, "_EM_MAX_ITER", 1)
+    hist = {1: 50, 2: 25, 3: 10, 6: 5, 12: 3}
     with pytest.raises(ConvergenceError):
-        fit_em(hist, max_iter=1)
+        _fit_em(hist)
 
 
 def test_fit_database_pipeline():
@@ -275,8 +275,8 @@ def test_fit_database_pipeline():
     assert params.incidence_total == db.incidence_total
     assert params.transaction_count == len(db)
     assert params.trimmed_items == math.ceil(round(0.025 * len(db.item_freq), 9))
-    assert trimmed.total_items() == len(db.item_freq) - params.trimmed_items
-    assert params.n_total >= trimmed.total_items()
+    assert sum(trimmed.values()) == len(db.item_freq) - params.trimmed_items
+    assert params.n_total >= sum(trimmed.values())
 
 
 # write_model text of fit_database on the golden database (862 items), frozen
@@ -340,7 +340,7 @@ def test_gof_exact_match_gives_zero():
     pmf = nb_pmf_prefix(1.0, 1.0, 7)
     counts = {r: 1000 * pmf[r] for r in range(7)}
     counts[7] = 1000 * pmf[7] + 1000 * max(0.0, 1.0 - pmf.sum())
-    res = gof_chi2(FreqHistogram(counts), params)
+    res = gof_chi2(counts, params)
     assert res.chi2 == 0.0
     assert res.p_value == 1.0
     assert res.df >= 1
@@ -350,7 +350,7 @@ def test_gof_detects_mismatch():
     params = NBParams(k=1.0, a=1.0, n_total=1000, incidence_total=10000,
                       transaction_count=500, em_iterations=0, trimmed_items=0)
     # flat histogram, nothing like the geometric expectation
-    hist = FreqHistogram({r: 125 for r in range(8)})
+    hist = {r: 125 for r in range(8)}
     res = gof_chi2(hist, params)
     assert res.chi2 > 50
     assert res.p_value < 1e-6
@@ -360,9 +360,9 @@ def test_gof_counts_unseen_items_in_class_zero():
     # the model holds 1000 items, the observed histogram 640 of them
     params = NBParams(k=1.0, a=1.0, n_total=1000, incidence_total=10000,
                       transaction_count=500, em_iterations=0, trimmed_items=0)
-    observed = FreqHistogram({r: 125 - 10 * r for r in range(1, 9)})
-    with_zero = FreqHistogram({0: 360, **observed.counts})
-    assert round(with_zero.total_items()) == params.n_total
+    observed = {r: 125 - 10 * r for r in range(1, 9)}
+    with_zero = {0: 360, **observed}
+    assert round(sum(with_zero.values())) == params.n_total
     assert gof_chi2(observed, params) == gof_chi2(with_zero, params)
 
 
@@ -370,14 +370,23 @@ def test_gof_requires_enough_classes():
     params = NBParams(k=1.0, a=1.0, n_total=10, incidence_total=100,
                       transaction_count=50, em_iterations=0, trimmed_items=0)
     with pytest.raises(ValueError):
-        gof_chi2(FreqHistogram({0: 5, 1: 5}), params)
+        gof_chi2({0: 5, 1: 5}, params)
+
+
+def test_gof_rejects_bad_histograms():
+    params = NBParams(k=1.0, a=1.0, n_total=1000, incidence_total=10000,
+                      transaction_count=500, em_iterations=0, trimmed_items=0)
+    good = {r: 125 for r in range(8)}
+    for bad in ({-1: 5}, {8.5: 5}, {"3": 5}, {3: -1}, {3: float("nan")}):
+        with pytest.raises(ValueError, match="non-negative int class"):
+            gof_chi2({**good, **bad}, params)
 
 
 def test_gof_merges_small_classes():
     # heavily skewed model: singletons merge until expectation reaches 5
     params = NBParams(k=0.1, a=500.0, n_total=50, incidence_total=100000,
                       transaction_count=5000, em_iterations=0, trimmed_items=0)
-    hist = FreqHistogram({r: 1 for r in range(0, 200, 4)})
+    hist = {r: 1 for r in range(0, 200, 4)}
     res = gof_chi2(hist, params)
     assert res.df >= 1
 
