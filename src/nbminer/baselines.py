@@ -73,9 +73,12 @@ def _mine_vertical(db: TransactionDatabase, weight: dict, threshold: float) -> l
             if sub:
                 grow((*items, ids[x]), tx, topx, sub)
 
-    for j, cls in enumerate(part):
-        if len(cls) > 1:
-            grow((ids[j],), bits[j], w[j], cls)
+    try:
+        for j, cls in enumerate(part):
+            if len(cls) > 1:
+                grow((ids[j],), bits[j], w[j], cls)
+    finally:
+        del grow  # the closure holds itself; free the search state now
     out.sort(key=lambda rec: (len(rec[0]), rec[0]))
     return [MinedItemset(items, f, threshold, None) for items, f in out]
 

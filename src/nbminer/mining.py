@@ -17,7 +17,16 @@ its repository key. Within one run, a threshold scan is reused whenever a
 later node has the same candidate count and the same multiset of
 co-occurrence counts, since those inputs fix the scan's result; only
 inputs of at most ``_SCAN_CACHE_MAX`` counts are kept for reuse, because
-longer ones seldom repeat.
+longer ones seldom repeat, and a longer input is scanned without a cache
+key.
+
+A first-level root with more candidates than that is first judged by the
+scan's own first step, taken on its unsorted row of pair counts: the
+precision of the candidates at the top count, from the same ``_cdf`` and
+``_precision``. The scan returns no threshold exactly when that step
+fails, so such a root is skipped before its counts are sorted, which on a
+sparse basket is most roots; a root that passes hands the cdf on to the
+scan, so no cdf is computed twice.
 """
 
 from __future__ import annotations
@@ -38,7 +47,10 @@ from .transactions import TransactionDatabase, _PairCounts, _digits, _read_lines
 
 # nb_dfs keeps the threshold scans of nodes with at most this many candidate
 # counts. Such inputs repeat often in a deep search; longer ones, the first
-# level's among them, seldom do, yet would hold most of the search's memory.
+# level's among them, seldom do, yet would hold most of the search's memory,
+# so they are scanned without building a key. A first-level root above the
+# cap is first checked at its top count (_top_cdf), the scan's first step,
+# and skipped unsorted when that fails.
 _SCAN_CACHE_MAX = 64
 
 
@@ -135,7 +147,8 @@ def predicted_precision(o_hist, n_candidates: int, k: float, a_l: float,
     return _precision(o, n_candidates, _cdf(k, a_l, rho - 1), rho)
 
 
-def _threshold_scan(counts, n_candidates: int, k: float, a_l: float, pi: float):
+def _threshold_scan(counts, n_candidates: int, k: float, a_l: float, pi: float,
+                    cum: Optional[list] = None):
     """Scan rho downward from the highest observed count; return the last
     rho whose predicted precision is still >= pi, with that precision.
 
@@ -143,7 +156,8 @@ def _threshold_scan(counts, n_candidates: int, k: float, a_l: float, pi: float):
     the useful threshold is the lowest one in the run of passes that starts
     at the top). Returns (None, None) when even the top count fails.
     ``counts`` holds every candidate's count, each at least 1, in
-    ascending order.
+    ascending order. ``cum`` is ``_cdf(k, a_l, counts[-1])`` when the
+    caller has it already.
 
     Between two adjacent observed counts the number of observed candidates
     is fixed while the model's tail can only grow as rho falls, so there the
@@ -153,7 +167,8 @@ def _threshold_scan(counts, n_candidates: int, k: float, a_l: float, pi: float):
     """
     if not counts:
         return None, None
-    cum = _cdf(k, a_l, counts[-1])
+    if cum is None:
+        cum = _cdf(k, a_l, counts[-1])
     best = (None, None)
     end = len(counts)
     while end:
@@ -177,6 +192,19 @@ def _threshold_scan(counts, n_candidates: int, k: float, a_l: float, pi: float):
                 lo = mid
         return hi, prec
     return best
+
+
+def _top_cdf(counts: np.ndarray, n_candidates: int, k: float, a_l: float,
+             pi: float) -> Optional[list]:
+    """The threshold scan's first step on unsorted counts, a numpy array in
+    which 0 marks no candidate and some count is at least 1:
+    ``_cdf(k, a_l, top)`` for the top count when the candidates at the top
+    reach precision pi, else None, exactly when ``_threshold_scan`` on the
+    candidates' sorted counts would return (None, None)."""
+    top = int(counts.max())
+    cum = _cdf(k, a_l, top)
+    o = int(np.count_nonzero(counts == top))
+    return cum if _precision(o, n_candidates, cum, top) >= pi else None
 
 
 def find_threshold(o_hist, n_candidates: int, k: float, a_l: float,
@@ -282,15 +310,14 @@ def nb_dfs(db: TransactionDatabase, config: MinerConfig,
 
     # (n_cand, sorted candidate counts) -> (sigma, precision), for keys of at
     # most _SCAN_CACHE_MAX counts; with k, pi and a_per_incidence fixed for
-    # the run, the key determines the scan
+    # the run, the key determines the scan. A longer input is scanned
+    # without building a key.
     scans: dict = {}
 
     # called as `scans.get(key) or scan(key)`: every cached scan is a
     # non-empty tuple, so this runs on a miss only
     def scan(key):
-        found = _threshold_scan(key[1], key[0], k, apc * sum(key[1]), pi)
-        if len(key[1]) <= _SCAN_CACHE_MAX:
-            scans[key] = found
+        scans[key] = found = _threshold_scan(key[1], key[0], k, apc * sum(key[1]), pi)
         return found
 
     # counter counts every item over txns, l's own items too, and counts is
@@ -303,10 +330,14 @@ def nb_dfs(db: TransactionDatabase, config: MinerConfig,
         if counter is None:
             counter = Counter(chain.from_iterable(txns))
             counts = sorted(counter.values())
-        key = (n_total - size, tuple(counts[:-size]))
-        if not key[1]:
+        cand = counts[:-size]
+        if not cand:
             return
-        sigma, prec = scans.get(key) or scan(key)
+        if len(cand) <= _SCAN_CACHE_MAX:
+            key = (n_total - size, tuple(cand))
+            sigma, prec = scans.get(key) or scan(key)
+        else:
+            sigma, prec = _threshold_scan(cand, n_total - size, k, apc * sum(cand), pi)
         if sigma is None:
             return
         selected = [c for c, n in counter.items() if n >= sigma and c not in l]
@@ -329,15 +360,24 @@ def nb_dfs(db: TransactionDatabase, config: MinerConfig,
         for j, i in enumerate(items0):
             f = pairs.row(j)
             f[j] = 0
-            cands = np.flatnonzero(f)
-            if not cands.size:
+            n_cand = np.count_nonzero(f)
+            if not n_cand:
                 continue
-            counts = f[cands]
-            key = (n_total - 1, tuple(np.sort(counts).tolist()))
-            sigma, prec = scans.get(key) or scan(key)
-            if sigma is None:
-                continue
-            selected = [items0[c] for c in cands[counts >= sigma].tolist()]
+            if n_cand <= _SCAN_CACHE_MAX:
+                key = (n_total - 1, tuple(np.sort(f[f > 0]).tolist()))
+                sigma, prec = scans.get(key) or scan(key)
+                if sigma is None:
+                    continue
+            else:
+                # most roots of a sparse basket fail at their top count: the
+                # scan's first step rejects them from the row, before any sort
+                a_l = apc * int(f.sum())
+                cum = _top_cdf(f, n_total - 1, k, a_l, pi)
+                if cum is None:
+                    continue
+                sigma, prec = _threshold_scan(np.sort(f)[-n_cand:].tolist(), n_total - 1,
+                                              k, a_l, pi, cum)
+            selected = [items0[c] for c in np.flatnonzero(f >= sigma).tolist()]
             emitted = nb_gen((i,), selected, theta, repo)
             if not emitted:
                 continue

@@ -5,13 +5,14 @@ import math
 import random
 import re
 from collections import Counter
+from itertools import chain
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nbminer import mining
+from nbminer import baselines, mining
 from nbminer.baselines import mine_allconf, mine_frequent
 from nbminer.mining import (
     MinedItemset,
@@ -25,7 +26,7 @@ from nbminer.mining import (
     read_itemsets,
     write_itemsets,
 )
-from nbminer.nbmodel import NBParams, nb_pmf_prefix
+from nbminer.nbmodel import NBParams, fit_database, nb_pmf_prefix
 from nbminer.transactions import TransactionDatabase
 
 from _oracles import oracle_nb_frequent, oracle_nb_gen
@@ -186,6 +187,63 @@ def test_predicted_precision_brackets_threshold(inputs):
     assert prec == mining._threshold_scan(ascending(counts), n_candidates, k, a_l, pi)[1]
     if sigma > 1:  # the scan stopped at sigma - 1 because it failed there
         assert predicted_precision(counts, n_candidates, k, a_l, sigma - 1) < pi
+
+
+@st.composite
+def long_rows(draw):
+    """(row, n_candidates, k, a_l, pi) for the first level's rejection: a
+    numpy row of more than _SCAN_CACHE_MAX candidate counts, in random
+    order among zeros that stand for no candidate."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        r_max = draw(st.one_of(st.integers(1, 40), st.integers(41, 2000)))
+        k = draw(st.floats(0.05, 5.0))
+        mean = r_max * draw(st.floats(0.005, 1.0))
+    else:
+        # nb_pmf_prefix's log branch, as in scan_inputs
+        k = draw(st.floats(1000.0, 1e5))
+        mean = draw(st.floats(720.0, 1900.0))
+        r_max = draw(st.integers(int(mean) + 1, 2000))
+    n = draw(st.integers(mining._SCAN_CACHE_MAX + 1, 4 * mining._SCAN_CACHE_MAX))
+    counts = rng.integers(max(1, r_max - draw(st.integers(0, r_max))), r_max + 1, n)
+    # how many candidates hold the top count: one, several, or all of them
+    counts[:draw(st.one_of(st.just(1), st.integers(2, n)))] = r_max
+    row = np.zeros(n + draw(st.integers(0, 300)), np.int64)
+    row[rng.choice(row.size, n, replace=False)] = counts
+    n_candidates = n + draw(st.integers(0, 5000))
+    pi = draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)))
+    return row, n_candidates, k, mean / k, pi
+
+
+def test_top_cdf_rejects_exactly_when_the_scan_finds_nothing():
+    rejected = passed = 0
+
+    @settings(deadline=None, max_examples=300)
+    @given(long_rows())
+    @example((np.full(70, 3), 200, 0.8, 1.2, 0.9))  # every count equal
+    @example((np.arange(100), 150, 1.0, 0.5, 1.0))  # pi 1
+    @example((np.repeat([0, 1, 40], [10, 50, 30]), 500, 0.5, 2.0, 0.95))  # many tied at the top
+    @example((np.r_[np.zeros(20, np.int64), np.arange(1000, 1980, 12)],
+              300, 2000.0, 0.6, 0.5))  # log branch
+    def check(inputs):
+        nonlocal rejected, passed
+        row, n_candidates, k, a_l, pi = inputs
+        counts = sorted(row[row > 0].tolist())
+        found = mining._threshold_scan(counts, n_candidates, k, a_l, pi)
+        cum = mining._top_cdf(row, n_candidates, k, a_l, pi)
+        assert (cum is None) == (found == (None, None))
+        # the first step's cdf is the scan's own, and handing it over
+        # changes nothing
+        scan_cum = mining._cdf(k, a_l, counts[-1])
+        assert cum is None or cum == scan_cum
+        assert mining._threshold_scan(counts, n_candidates, k, a_l, pi, scan_cum) == found
+        rejected += cum is None
+        passed += cum is not None
+
+    check()
+    # 93 to 154 of the 300 examples passed and the rest were rejected, over
+    # hypothesis seeds 0-7
+    assert rejected >= 30 and passed >= 30, (rejected, passed)
 
 
 def test_nb_select_worked_example():
@@ -582,6 +640,57 @@ def test_nb_dfs_golden_digest(golden_db_and_params, pi, theta, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_DIGESTS[(pi, theta)]
 
 
+@pytest.fixture(scope="module")
+def structureless_db_and_params():
+    """3,000 rows over 400 independent items with Gamma(2) rates, about 10
+    items a row (seed 0), and the model from fit_database: the model's own
+    no-structure assumption, where most first-level roots have more
+    candidates than the scan cache keeps and find no threshold."""
+    rng = np.random.default_rng(0)
+    rates = rng.gamma(2.0, 1.0, 400)
+    hold = rng.random((3000, 400)) < rates * (10.0 / rates.sum())
+    db = TransactionDatabase(r for r in (np.flatnonzero(h).tolist() for h in hold) if r)
+    params, _ = fit_database(db)
+    return db, params
+
+
+# SHA-256 of the itemset file nb_dfs writes for structureless_db_and_params.
+# At (0.99, 1) nothing is mined: no pair is selected from both its items.
+STRUCTURELESS_DIGESTS = {
+    (0.95, 0.5): "0b4f52c32498b60243bd94638ec770ddb9b281989c56a90333198e858fa9508c",
+    (0.5, 0.5): "a0753bed740715820f1c0f430b2bc66d55b288859df347a829baea696c9794e8",
+    (0.99, 1.0): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+}
+
+
+@pytest.mark.parametrize("pi, theta", sorted(STRUCTURELESS_DIGESTS))
+def test_nb_dfs_structureless_digest(structureless_db_and_params, pi, theta, tmp_path, monkeypatch):
+    db, params = structureless_db_and_params
+    cap = mining._SCAN_CACHE_MAX
+    # most roots have more candidates than the cap: 392 of 400 here
+    long_roots = sum(len(Counter(chain.from_iterable(t for t in db.transactions if i in t))) - 1 > cap
+                     for i in db.item_freq)
+    assert long_roots >= 300, long_roots
+    found = []
+    scan = mining._threshold_scan
+
+    def recording_scan(counts, n_candidates, *rest):
+        result = scan(counts, n_candidates, *rest)
+        if len(counts) > cap and result[0] is not None:
+            found.append(n_candidates)
+        return result
+
+    monkeypatch.setattr(mining, "_threshold_scan", recording_scan)
+    mined = nb_dfs(db, MinerConfig(params=params, pi=pi, theta=theta))
+    path = tmp_path / "structureless.itemsets"
+    write_itemsets(path, mined)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == STRUCTURELESS_DIGESTS[(pi, theta)]
+    # some roots longer than the cap find a threshold (n_total - 1
+    # candidates): 24, 218 and 4 at pi 0.95, 0.5 and 0.99
+    assert params.n_total - 1 in found
+    assert {m.itemset(): m.freq for m in mined} == oracle_nb_frequent(db, params, pi, theta)
+
+
 def assert_bound_to_nb_select(db, params, pi, mined):
     """Every record's threshold, precision and admission are those that
     nb_select gives one of its (k-1)-subsets on the public path."""
@@ -735,6 +844,41 @@ def test_nb_dfs_leaves_no_reference_cycle_on_error(golden_db_and_params, monkeyp
             raise AssertionError("the search should have failed")
 
     monkeypatch.setattr(mining, "nb_gen", failing_gen)
+    assert _garbage_after(mine_and_fail) == 0
+
+
+BASELINE_RUNS = [(mine_frequent, 0.02), (mine_allconf, 0.6)]
+
+
+@pytest.mark.parametrize("miner, threshold", BASELINE_RUNS)
+def test_baselines_leave_no_reference_cycle(golden_db_and_params, miner, threshold):
+    # the Eclat search's tid bitsets must be freed when the miner returns
+    db, _ = golden_db_and_params
+    assert _garbage_after(lambda: miner(db, threshold)) == 0
+
+
+@pytest.mark.parametrize("miner, threshold", BASELINE_RUNS)
+def test_baselines_leave_no_reference_cycle_on_error(golden_db_and_params, monkeypatch,
+                                                     miner, threshold):
+    db, _ = golden_db_and_params
+    calls = []
+
+    # the search below the pairs is the only caller of max in baselines
+    def failing_max(*args):
+        calls.append(1)
+        if len(calls) > 10:
+            raise RuntimeError("stop")
+        return max(*args)
+
+    def mine_and_fail():
+        try:
+            miner(db, threshold)
+        except RuntimeError:
+            pass
+        else:
+            raise AssertionError("the search should have failed")
+
+    monkeypatch.setattr(baselines, "max", failing_max, raising=False)
     assert _garbage_after(mine_and_fail) == 0
 
 
