@@ -313,16 +313,22 @@ def test_criterion_11_generator_mean_and_determinism(tmp_path):
 
 
 def test_criterion_12_mining_time_scales_linearly(desk_data):
-    """Mining time over 5k/10k/20k samples fits a line with R^2 >= 0.9."""
+    """Mining time over 5k/10k/20k samples fits a line with R^2 >= 0.9.
+
+    Each size is timed as the fastest of three runs, and the sizes take
+    turns, so a spell of other load on the machine does not decide the fit."""
     db, _, _, _ = desk_data
     sizes = (5_000, 10_000, 20_000)
-    times = []
+    runs = []
     for n in sizes:
         sample = TransactionDatabase(db.transactions[:n])
-        params, _ = fit_database(sample)
-        t0 = time.perf_counter()
-        nb_dfs(sample, MinerConfig(params, pi=0.95, theta=0.5))
-        times.append(time.perf_counter() - t0)
+        runs.append((sample, MinerConfig(fit_database(sample)[0], pi=0.95, theta=0.5)))
+    times = [float("inf")] * len(sizes)
+    for _ in range(3):
+        for j, (sample, config) in enumerate(runs):
+            t0 = time.perf_counter()
+            nb_dfs(sample, config)
+            times[j] = min(times[j], time.perf_counter() - t0)
 
     x, y = np.asarray(sizes, dtype=float), np.asarray(times)
     residual = y - np.polyval(np.polyfit(x, y, 1), x)
