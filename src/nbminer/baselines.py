@@ -43,14 +43,14 @@ def _mine_vertical(db: TransactionDatabase, weight: dict, threshold: float) -> l
     m = len(ids)
     w = np.array([weight[i] for i in ids], np.int64)
     pairs = _PairCounts(db, ids)
+    tids = pairs.tids
     part = []  # part[j]: the columns after j that form an accepted pair with j
     for j in range(m - 1):
-        f = pairs.row(j)[j + 1:]
+        f = pairs.count(tids[j])[j + 1:]
         ok = np.flatnonzero(f / np.maximum(w[j], w[j + 1:]) >= threshold)
         part.append((ok + (j + 1)).tolist())
         for k, c in zip(part[j], f[ok].tolist()):
             out.append(((ids[j], ids[k]), c))
-    tids = pairs.tids
     del pairs
     bits = {j: _bitset(tids[j], len(db))
             for j in {j for j, ks in enumerate(part) if ks}.union(*part)}

@@ -20,12 +20,21 @@ inputs of at most ``_SCAN_CACHE_MAX`` counts are kept for reuse, because
 longer ones seldom repeat, and a longer input is scanned without a cache
 key.
 
-A first-level root with more candidates than that is first judged by the
-scan's own first step, taken on its unsorted row of pair counts: the
+A node is counted one of two ways, to the same counts, so the records do
+not depend on which. Every root, and every node below with at least
+``_KERNEL_MIN`` rows, runs one node step on the pair-count kernel, as
+Eclat counts (Zaki, IEEE TKDE 2000): its rows are an ascending array of
+row numbers, its counts one array over every item, and a child's rows are
+the node's rows that hold the child's item. A smaller node counts its row
+tuples with a ``Counter``. Either way, a child whose item is in every row
+of its node takes over the node's rows and counts.
+
+A kernel node with more candidates than the scan cache keeps is first
+judged by the scan's own first step, taken on its unsorted counts: the
 precision of the candidates at the top count, from the same ``_cdf`` and
 ``_precision``. The scan returns no threshold exactly when that step
-fails, so such a root is skipped before its counts are sorted, which on a
-sparse basket is most roots; a root that passes hands the cdf on to the
+fails, so such a node is skipped before its counts are sorted, which on
+a sparse basket is most roots; a node that passes hands the cdf on to the
 scan, so no cdf is computed twice.
 """
 
@@ -48,10 +57,15 @@ from .transactions import TransactionDatabase, _PairCounts, _digits, _read_lines
 # nb_dfs keeps the threshold scans of nodes with at most this many candidate
 # counts. Such inputs repeat often in a deep search; longer ones, the first
 # level's among them, seldom do, yet would hold most of the search's memory,
-# so they are scanned without building a key. A first-level root above the
-# cap is first checked at its top count (_top_cdf), the scan's first step,
-# and skipped unsorted when that fails.
+# so they are scanned without building a key. A kernel node above the cap is
+# first checked at its top count (_top_cdf), the scan's first step, and
+# skipped unsorted when that fails.
 _SCAN_CACHE_MAX = 64
+
+# nb_dfs counts a node of at least this many rows on the pair-count kernel
+# and a smaller one with a Counter over its rows; the kernel's fixed cost
+# per node outweighs its gain on a few rows. Every root runs the kernel.
+_KERNEL_MIN = 32
 
 
 def _check_fraction(name: str, value: float) -> None:
@@ -350,46 +364,62 @@ def nb_dfs(db: TransactionDatabase, config: MinerConfig,
                 expand(lp, [t for t in txns if c in t], size + 1)
 
     pairs = _PairCounts(db, items0)
-    rows = db.transactions
-    # held[t]: row t holds the root item being expanded
-    held = np.zeros(len(rows), bool)
-    try:
-        # the first level on the pair-count kernel: item j's candidate counts
-        # are row j of X.T @ X without its diagonal, and child c's rows are
-        # the rows of c that hold j, as in Eclat
-        for j, i in enumerate(items0):
-            f = pairs.row(j)
-            f[j] = 0
-            n_cand = np.count_nonzero(f)
-            if not n_cand:
+    pos, tids, rows = pairs.pos, pairs.tids, db.transactions
+    # mark[r]: row r holds the item of the child being projected
+    mark = np.zeros(len(rows), bool)
+
+    # the node step on the pair-count kernel: t holds l's rows as an
+    # ascending array, and f counts every column over t with l's own columns
+    # zeroed. A child whose item is in every row takes a copy of f, since
+    # its own children zero columns that its later siblings still read.
+    def expand_rows(l, t, size, f=None):
+        if f is None:
+            f = pairs.count(t)
+            for i in l:
+                f[pos[i]] = 0
+        n_cand = np.count_nonzero(f)
+        if not n_cand:
+            return
+        if n_cand <= _SCAN_CACHE_MAX:
+            key = (n_total - size, tuple(np.sort(f[f > 0]).tolist()))
+            sigma, prec = scans.get(key) or scan(key)
+            if sigma is None:
+                return
+        else:
+            # on a sparse basket most roots fail at their top count: the
+            # scan's first step rejects them from f, before any sort
+            a_l = apc * int(f.sum())
+            cum = _top_cdf(f, n_total - size, k, a_l, pi)
+            if cum is None:
+                return
+            sigma, prec = _threshold_scan(np.sort(f)[-n_cand:].tolist(), n_total - size,
+                                          k, a_l, pi, cum)
+        selected = [items0[c] for c in np.flatnonzero(f >= sigma).tolist()]
+        for lp, c in nb_gen(l, selected, theta, repo):
+            col = pos[c]
+            n = int(f[col])
+            results.append(MinedItemset(lp, n, sigma, prec))
+            if size + 1 == depth:
                 continue
-            if n_cand <= _SCAN_CACHE_MAX:
-                key = (n_total - 1, tuple(np.sort(f[f > 0]).tolist()))
-                sigma, prec = scans.get(key) or scan(key)
-                if sigma is None:
-                    continue
+            if n == len(t):
+                tc, fc = t, f.copy()
+                fc[col] = 0
             else:
-                # most roots of a sparse basket fail at their top count: the
-                # scan's first step rejects them from the row, before any sort
-                a_l = apc * int(f.sum())
-                cum = _top_cdf(f, n_total - 1, k, a_l, pi)
-                if cum is None:
-                    continue
-                sigma, prec = _threshold_scan(np.sort(f)[-n_cand:].tolist(), n_total - 1,
-                                              k, a_l, pi, cum)
-            selected = [items0[c] for c in np.flatnonzero(f >= sigma).tolist()]
-            emitted = nb_gen((i,), selected, theta, repo)
-            if not emitted:
-                continue
-            held[pairs.tids[j]] = True
-            for lp, c in emitted:
-                col = pairs.pos[c]
-                results.append(MinedItemset(lp, int(f[col]), sigma, prec))
-                t = pairs.tids[col]
-                expand(lp, list(map(rows.__getitem__, t[held[t]].tolist())), 2)
-            held[pairs.tids[j]] = False
+                # the rows of this node that hold c, as in Eclat
+                mark[tids[col]] = True
+                tc, fc = t[mark[t]], None
+                mark[tids[col]] = False
+            if n >= _KERNEL_MIN:
+                expand_rows(lp, tc, size + 1, fc)
+            else:
+                expand(lp, list(map(rows.__getitem__, tc.tolist())), size + 1)
+
+    try:
+        for j, i in enumerate(items0):
+            expand_rows((i,), tids[j], 1)
     finally:
-        del expand  # the closure holds itself; free the search state now
+        # each closure holds itself; free the search state now
+        del expand, expand_rows
     results.sort(key=lambda m: (len(m.items), m.items))
     return results
 

@@ -213,8 +213,9 @@ class _PairCounts:
     to its column. Counting is vertical, as in Eclat (Zaki, "Scalable
     algorithms for association mining", IEEE TKDE 2000): ``tids[j]`` holds
     the transactions that contain column j, in ascending order, and
-    ``row(j)`` counts the columns of those transactions. Entry j of row j
-    is column j's own frequency.
+    ``count(t)`` counts the columns of any set of transactions ``t``, so
+    ``count(tids[j])`` is row j of X.T @ X, whose entry j is column j's own
+    frequency.
 
     Nothing is sized by the item ids: the column of every incidence is kept
     in one array, transaction after transaction, with m standing for any
@@ -237,14 +238,13 @@ class _PairCounts:
         tids = np.repeat(np.arange(len(rows)), sizes)[np.argsort(col, kind="stable")]
         self.tids = np.split(tids, np.cumsum(np.bincount(col, minlength=m + 1)[:m]))[:m]
 
-    def row(self, j: int) -> np.ndarray:
-        """Row j of X.T @ X: for each column, how many transactions hold it
-        together with column j. Column j must occur in some transaction."""
-        t = self.tids[j]
+    def count(self, t: np.ndarray) -> np.ndarray:
+        """For each column, how many of the transactions ``t`` hold it;
+        ``t`` is an ascending array of transaction numbers."""
         lens = self._sizes[t]
         ends = np.cumsum(lens)
         # where in the column array the incidences of those transactions lie
-        at = np.repeat(self._starts[t] - ends + lens, lens) + np.arange(ends[-1])
+        at = np.repeat(self._starts[t] - ends + lens, lens) + np.arange(ends[-1] if len(t) else 0)
         return np.bincount(self._cols[at], minlength=self._m + 1)[:self._m]
 
 

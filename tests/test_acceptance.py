@@ -7,9 +7,12 @@ measured values behind its verdict.
 The desk-scale checks (7, 8, 9, 12) share one generated dataset: the
 artif-2 preset scaled to 20,000 transactions at seed 1.  They are spot
 checks with widened bands; the full-size comparisons (100k transactions,
-complete grids) take hours and are out of scope here.
+complete grids) take hours and are out of scope here. The itemset file of
+the desk run is also pinned by its SHA-256, so the search's output at this
+scale cannot change unseen.
 """
 
+import hashlib
 import statistics
 import time
 from fractions import Fraction
@@ -19,7 +22,8 @@ import pytest
 
 from nbminer.baselines import mine_allconf, mine_frequent
 from nbminer.evaluation import nb_runs, score, support_runs, sweep
-from nbminer.mining import MinerConfig, find_threshold, nb_dfs, nb_select, predicted_precision
+from nbminer.mining import (MinerConfig, find_threshold, nb_dfs, nb_select, predicted_precision,
+                            write_itemsets)
 from nbminer.nbmodel import fit_database, fit_moments, nb_pmf_prefix
 from nbminer.synthgen import generate, preset_config
 from nbminer.transactions import TransactionDatabase, write_basket
@@ -338,3 +342,16 @@ def test_criterion_12_mining_time_scales_linearly(desk_data):
     print("criterion 12: times "
           + " ".join(f"{n}:{t:.2f}s" for n, t in zip(sizes, times))
           + f", R^2={r2:.4f}")
+
+
+# SHA-256 of the itemset file of the desk run (artif-2, 20k transactions,
+# seed 1, pi 0.95, theta 0.5, the model from fit_database): 13,483 itemsets.
+DESK_ITEMSETS_SHA256 = "579972a3b8350b5398b29a262d10b5b5790600896a45b3f199c5a6886d8bd039"
+
+
+def test_desk_itemsets_digest(desk_mined, tmp_path):
+    """The desk run writes the itemset file it always has, byte for byte."""
+    mined, _ = desk_mined
+    path = tmp_path / "desk.itemsets"
+    write_itemsets(path, mined)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DESK_ITEMSETS_SHA256

@@ -180,25 +180,34 @@ def _truth_and_mined(ids, pattern_picks, repeats, entries, mined_repeats, as_tru
 
 
 def test_score_matches_oracle_closure_property():
+    runs = 0
     hits = {"closure": 0, "maximal": 0}
 
     @settings(deadline=None, max_examples=300)
     @given(TRUTH_AND_MINED)
     def check(case):
+        nonlocal runs
         truth, mined = _truth_and_mined(*case)
         patterns = list(getattr(truth, "patterns", truth))
         oracles = {"closure": positives_closure(truth),
                    "maximal": frozenset(p for p in patterns if len(p) >= 2)}
+        # the mined list as drawn, and with a pattern of two items or more
+        # added, which is a true positive in both modes
+        planted = [p for p in patterns if len(p) >= 2][:1]
         for mode, oracle in oracles.items():
-            report = score(mined, truth, scoring_mode=mode)
-            assert report == _report(mined, oracle)
-            assert report.positives_total == len(oracle)
+            for entries in (mined, mined + planted):
+                report = score(entries, truth, scoring_mode=mode)
+                assert report == _report(entries, oracle)
+                assert report.positives_total == len(oracle)
             hits[mode] += report.true_positives > 0
+        runs += 1
 
     check()
-    # 116 to 161 of the 300 examples scored a true positive in closure mode
-    # and 98 to 126 in maximal mode, over hypothesis seeds 0-9
-    assert hits["closure"] >= 100 and hits["maximal"] >= 50, hits
+    # a floor per example run: every example whose truth has a pattern of
+    # two items or more scores a true positive in both modes, 173 to 253 of
+    # the 300 over hypothesis seeds 0-59, while the mined lists as drawn
+    # scored one in only 104 to 198 (closure) and 59 to 171 (maximal)
+    assert hits["closure"] >= runs / 3 and hits["maximal"] >= runs / 3, (runs, hits)
 
 
 def test_score_perfect_and_disjoint():

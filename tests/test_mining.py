@@ -27,7 +27,7 @@ from nbminer.mining import (
     write_itemsets,
 )
 from nbminer.nbmodel import NBParams, fit_database, nb_pmf_prefix
-from nbminer.transactions import TransactionDatabase
+from nbminer.transactions import TransactionDatabase, _PairCounts
 
 from _oracles import oracle_nb_frequent, oracle_nb_gen
 from test_baselines import EDGE_DATABASES
@@ -803,6 +803,91 @@ def test_nb_dfs_reuses_counts_of_a_child_with_its_parents_rows(golden_db_and_par
     mined = nb_dfs(db, MinerConfig(params=params, pi=0.95, theta=0.5))
     # 1,281 builds for 3,434 records; without the reuse, 4,115
     assert len(builds) < len(mined) / 2
+
+
+# _KERNEL_MIN values at which every node below the root runs the pair-count
+# kernel, and at which none does. At the default, no node below the root of
+# the golden fixture or of small_db_and_params runs it, and 3 of the
+# structureless fixture's 917 at (0.5, 0.5) do, so these settings are what
+# run the kernel below the root on them.
+KERNEL_CUTOFFS = [1, 10**9]
+
+
+@pytest.mark.parametrize("kernel_min", KERNEL_CUTOFFS)
+@pytest.mark.parametrize("pi, theta", sorted(GOLDEN_DIGESTS))
+def test_nb_dfs_golden_digest_at_each_kernel_cutoff(golden_db_and_params, pi, theta, kernel_min,
+                                                     tmp_path, monkeypatch):
+    monkeypatch.setattr(mining, "_KERNEL_MIN", kernel_min)
+    test_nb_dfs_golden_digest(golden_db_and_params, pi, theta, tmp_path)
+
+
+@pytest.mark.parametrize("kernel_min", KERNEL_CUTOFFS)
+@pytest.mark.parametrize("pi, theta", sorted(STRUCTURELESS_DIGESTS))
+def test_nb_dfs_structureless_digest_at_each_kernel_cutoff(structureless_db_and_params, pi, theta,
+                                                           kernel_min, tmp_path, monkeypatch):
+    monkeypatch.setattr(mining, "_KERNEL_MIN", kernel_min)
+    test_nb_dfs_structureless_digest(structureless_db_and_params, pi, theta, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("kernel_min", KERNEL_CUTOFFS)
+def test_nb_dfs_matches_oracle_at_each_kernel_cutoff(kernel_min, monkeypatch):
+    monkeypatch.setattr(mining, "_KERNEL_MIN", kernel_min)
+    test_nb_dfs_matches_oracle_property()
+    for name in sorted(EDGE_DATABASES):
+        test_nb_dfs_matches_oracle_on_edge_inputs(name)
+
+
+def test_nb_dfs_records_do_not_depend_on_the_kernel_cutoff(monkeypatch):
+    # the same records whether the nodes below the root run the kernel from
+    # the default row count, from one row, or never
+    default, count, counted = mining._KERNEL_MIN, _PairCounts.count, []
+    below_root = non_empty = 0
+
+    def counting(self, t):
+        counted.append(1)
+        return count(self, t)
+
+    monkeypatch.setattr(_PairCounts, "count", counting)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.05, 0.99), st.sampled_from([0.0, 0.5, 1.0]))
+    def check(seed, pi, theta):
+        nonlocal below_root, non_empty
+        db, params = random_db_and_params(seed, max_txns=240)
+        if db is None:
+            return
+        config = MinerConfig(params=params, pi=pi, theta=theta)
+        counted.clear()
+        mined = nb_dfs(db, config)
+        # the roots count once each, so any further count is a node below
+        below_root += len(counted) > len(db.item_freq)
+        non_empty += bool(mined)
+        for kernel_min in KERNEL_CUTOFFS:
+            monkeypatch.setattr(mining, "_KERNEL_MIN", kernel_min)
+            assert nb_dfs(db, config) == mined, kernel_min
+        monkeypatch.setattr(mining, "_KERNEL_MIN", default)
+
+    check()
+    # over hypothesis seeds 0-49, the kernel ran below the root at the
+    # default cut-off in 27 to 50 of the 300 examples, and 58 to 91 mined
+    # something
+    assert below_root >= 20 and non_empty >= 40, (below_root, non_empty)
+
+
+def test_nb_dfs_child_with_its_parents_rows_takes_a_copy_of_the_counts(monkeypatch):
+    # items 1 and 2 are in every row of item 0, so both children of root 0
+    # hold all its rows. The first, (0, 1), zeroes the column of 1 in its
+    # counts; were they root 0's own, the second, (0, 2), would not see 1
+    # and not propose (0, 1, 2), which theta 1 needs from all its subsets
+    rows = [[0, 1, 2, 3 + r % 20] for r in range(40)] + [[3 + r % 20, 23 + r % 7] for r in range(40)]
+    db = TransactionDatabase(rows)
+    params = _params_for(db, 1.0, 0)
+    monkeypatch.setattr(mining, "_KERNEL_MIN", 1)
+    mined = nb_dfs(db, MinerConfig(params=params, pi=0.95, theta=1.0))
+    assert (0, 1, 2) in {m.items for m in mined}
+    assert {m.itemset(): m.freq for m in mined} == oracle_nb_frequent(db, params, 0.95, 1.0)
+    monkeypatch.setattr(mining, "_KERNEL_MIN", 10**9)
+    assert nb_dfs(db, MinerConfig(params=params, pi=0.95, theta=1.0)) == mined
 
 
 def _garbage_after(call) -> int:

@@ -290,4 +290,8 @@ def test_pair_counts_match_brute_force(data):
     assert len(pairs.tids) == m
     for j, i in enumerate(cols):
         assert pairs.tids[j].tolist() == [t for t, row in enumerate(db.transactions) if i in row]
-        assert pairs.row(j).tolist() == xtx[j].tolist()
+        assert pairs.count(pairs.tids[j]).tolist() == xtx[j].tolist()
+    # any ascending set of rows, down to a single row and none
+    anyrows = sorted(data.draw(st.sets(st.integers(0, len(db) - 1))))
+    for t in (anyrows, [data.draw(st.integers(0, len(db) - 1))], []):
+        assert pairs.count(np.array(t, np.int64)).tolist() == x[t].sum(axis=0).tolist()
