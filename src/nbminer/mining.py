@@ -63,8 +63,9 @@ from .transactions import TransactionDatabase, _PairCounts, _digits, _read_lines
 _SCAN_CACHE_MAX = 64
 
 # nb_dfs counts a node of at least this many rows on the pair-count kernel
-# and a smaller one with a Counter over its rows; the kernel's fixed cost
-# per node outweighs its gain on a few rows. Every root runs the kernel.
+# and a smaller one with a Counter over its rows: the kernel's fixed cost
+# per node outweighs its gain on a few rows, and on every node it made the
+# deep search of artif1-deep-1500 about 40% slower. Every root runs it.
 _KERNEL_MIN = 32
 
 
