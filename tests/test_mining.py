@@ -806,10 +806,9 @@ def test_nb_dfs_reuses_counts_of_a_child_with_its_parents_rows(golden_db_and_par
 
 
 # _KERNEL_MIN values at which every node below the root runs the pair-count
-# kernel, and at which none does. At the default, no node below the root of
-# the golden fixture or of small_db_and_params runs it, and 3 of the
-# structureless fixture's 917 at (0.5, 0.5) do, so these settings are what
-# run the kernel below the root on them.
+# kernel, and at which none does. No node below the root of the golden or
+# structureless fixtures, nor of small_db_and_params, has as many rows as the
+# default, so these settings are what run their kernel below the root.
 KERNEL_CUTOFFS = [1, 10**9]
 
 
@@ -869,9 +868,9 @@ def test_nb_dfs_records_do_not_depend_on_the_kernel_cutoff(monkeypatch):
 
     check()
     # over hypothesis seeds 0-49, the kernel ran below the root at the
-    # default cut-off in 27 to 50 of the 300 examples, and 58 to 91 mined
-    # something
-    assert below_root >= 20 and non_empty >= 40, (below_root, non_empty)
+    # default cut-off in 20 to 37 of the 300 examples (mean 30), and 58 to
+    # 91 mined something
+    assert below_root >= 12 and non_empty >= 40, (below_root, non_empty)
 
 
 def test_nb_dfs_child_with_its_parents_rows_takes_a_copy_of_the_counts(monkeypatch):
