@@ -352,7 +352,7 @@ def write_sweep(path, entries: Iterable[SweepEntry]) -> None:
                 )
             )
         )
-    with open(path, "w", encoding="ascii") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 

@@ -13,12 +13,7 @@ proposals of every superset makes the subset counting exact, and a
 superset is emitted only at the proposal that admits it, so output is not
 repeated across branches. The search holds an itemset as the ascending
 tuple of its ids, and an admitted itemset's record shares that tuple with
-its repository key. Within one run, a threshold scan is reused whenever a
-later node has the same candidate count and the same multiset of
-co-occurrence counts, since those inputs fix the scan's result; only
-inputs of at most ``_SCAN_CACHE_MAX`` counts are kept for reuse, because
-longer ones seldom repeat, and a longer input is scanned without a cache
-key.
+its repository key.
 
 A node is counted one of two ways, to the same counts, so the records do
 not depend on which. Every root, and every node below with at least
@@ -26,16 +21,25 @@ not depend on which. Every root, and every node below with at least
 Eclat counts (Zaki, IEEE TKDE 2000): its rows are an ascending array of
 row numbers, its counts one array over every item, and a child's rows are
 the node's rows that hold the child's item. A smaller node counts its row
-tuples with a ``Counter``. Either way, a child whose item is in every row
-of its node takes over the node's rows and counts.
+tuples with a ``Counter``.
 
-A kernel node with more candidates than the scan cache keeps is first
-judged by the scan's own first step, taken on its unsorted counts: the
-precision of the candidates at the top count, from the same ``_cdf`` and
-``_precision``. The scan returns no threshold exactly when that step
-fails, so such a node is skipped before its counts are sorted, which on
-a sparse basket is most roots; a node that passes hands the cdf on to the
-scan, so no cdf is computed twice.
+The kernel step first judges every node by the threshold scan's own first
+step, taken on its unsorted counts: the precision of the candidates at the
+top count, from the same ``_cdf`` and ``_precision``. The scan returns no
+threshold exactly when that step fails, so such a node is skipped before
+its counts are sorted, which on a sparse basket is most roots; a node that
+passes hands the cdf on to the scan, so no cdf is computed twice.
+
+The ``Counter`` step, which takes most nodes of a deep search, has two
+shortcuts of its own. A child whose item is in every row of its node takes
+over the node's rows and counts instead of counting again. And within one
+run, its threshold scan is reused whenever a later node has the same
+candidate count and the same multiset of co-occurrence counts, since those
+inputs fix the scan's result; only inputs of at most ``_SCAN_CACHE_MAX``
+counts are kept for reuse, because longer ones seldom repeat, and a longer
+input is scanned without a cache key. The kernel step's many-row nodes
+seldom repeat an input or have a child in all their rows, so it has
+neither.
 """
 
 from __future__ import annotations
@@ -54,12 +58,11 @@ from .nbmodel import NBParams, nb_pmf_prefix
 from .transactions import TransactionDatabase, _PairCounts, _digits, _read_lines, _real
 
 
-# nb_dfs keeps the threshold scans of nodes with at most this many candidate
-# counts. Such inputs repeat often in a deep search; longer ones, the first
-# level's among them, seldom do, yet would hold most of the search's memory,
-# so they are scanned without building a key. A kernel node above the cap is
-# first checked at its top count (_top_cdf), the scan's first step, and
-# skipped unsorted when that fails.
+# nb_dfs's Counter step keeps the threshold scans of nodes with at most this
+# many candidate counts. Such inputs repeat often in a deep search; longer
+# ones seldom do, yet would hold most of the search's memory (with no cap,
+# artif-1 20k's search grew by 70 MB instead of 31 MB), so they are scanned
+# without building a key.
 _SCAN_CACHE_MAX = 64
 
 # nb_dfs counts a node of at least this many rows on the pair-count kernel
@@ -281,14 +284,19 @@ def nb_gen(itemset: tuple, candidates, theta: float, repo: dict) -> list:
     its subsets (and at least one) have proposed it, so each superset is
     emitted once per run. Candidates are processed in ascending id order.
     Any other base raises ValueError, since it would key a superset apart
-    from its ascending tuple and split its votes.
+    from its ascending tuple and split its votes, and so does a candidate
+    given twice, whose two votes would come from one subset.
     """
     if type(itemset) is not tuple or any(map(operator.ge, itemset, itemset[1:])):
         raise ValueError(f"base {itemset!r} is not a strictly ascending tuple")
     size = len(itemset)
     need = max(1, math.ceil(theta * (size + 1)))
     emitted = []
+    prev = None
     for c in sorted(candidates):
+        if c == prev:
+            raise ValueError(f"candidate {c} given twice")
+        prev = c
         at = bisect_left(itemset, c)
         if at < size and itemset[at] == c:
             raise ValueError(f"candidate {c} already in base {list(itemset)}")
@@ -327,10 +335,10 @@ def nb_dfs(db: TransactionDatabase, config: MinerConfig,
     if not items0 or depth <= 1:
         return results
 
-    # (n_cand, sorted candidate counts) -> (sigma, precision), for keys of at
-    # most _SCAN_CACHE_MAX counts; with k, pi and a_per_incidence fixed for
-    # the run, the key determines the scan. A longer input is scanned
-    # without building a key.
+    # the Counter step's scan cache: (n_cand, sorted candidate counts) ->
+    # (sigma, precision), for keys of at most _SCAN_CACHE_MAX counts; with
+    # k, pi and a_per_incidence fixed for the run, the key determines the
+    # scan. A longer input is scanned without building a key.
     scans: dict = {}
 
     # called as `scans.get(key) or scan(key)`: every cached scan is a
@@ -375,30 +383,22 @@ def nb_dfs(db: TransactionDatabase, config: MinerConfig,
 
     # the node step on the pair-count kernel: t holds l's rows as an
     # ascending array, and f counts every column over t with l's own columns
-    # zeroed. A child whose item is in every row takes a copy of f, since
-    # its own children zero columns that its later siblings still read.
-    def expand_rows(l, t, size, f=None):
-        if f is None:
-            f = pairs.count(t)
-            for i in l:
-                f[pos[i]] = 0
+    # zeroed. Every kernel node counts its own rows.
+    def expand_rows(l, t, size):
+        f = pairs.count(t)
+        for i in l:
+            f[pos[i]] = 0
         n_cand = np.count_nonzero(f)
         if not n_cand:
             return
-        if n_cand <= _SCAN_CACHE_MAX:
-            key = (n_total - size, tuple(np.sort(f[f > 0]).tolist()))
-            sigma, prec = scans.get(key) or scan(key)
-            if sigma is None:
-                return
-        else:
-            # on a sparse basket most roots fail at their top count: the
-            # scan's first step rejects them from f, before any sort
-            a_l = apc * int(f.sum())
-            cum = _top_cdf(f, n_total - size, k, a_l, pi)
-            if cum is None:
-                return
-            sigma, prec = _threshold_scan(np.sort(f)[-n_cand:].tolist(), n_total - size,
-                                          k, a_l, pi, cum)
+        # on a sparse basket most roots fail at their top count: the scan's
+        # first step rejects them from f, before any sort
+        a_l = apc * int(f.sum())
+        cum = _top_cdf(f, n_total - size, k, a_l, pi)
+        if cum is None:
+            return
+        sigma, prec = _threshold_scan(np.sort(f)[-n_cand:].tolist(), n_total - size,
+                                      k, a_l, pi, cum)
         selected = [items0[c] for c in np.flatnonzero(f >= sigma).tolist()]
         for lp, c in nb_gen(l, selected, theta, repo):
             col = pos[c]
@@ -406,16 +406,12 @@ def nb_dfs(db: TransactionDatabase, config: MinerConfig,
             results.append(MinedItemset(lp, n, sigma, prec))
             if size + 1 == depth:
                 continue
-            if n == len(t):
-                tc, fc = t, f.copy()
-                fc[col] = 0
-            else:
-                # the rows of this node that hold c, as in Eclat
-                mark[tids[col]] = True
-                tc, fc = t[mark[t]], None
-                mark[tids[col]] = False
+            # the rows of this node that hold c, as in Eclat
+            mark[tids[col]] = True
+            tc = t[mark[t]]
+            mark[tids[col]] = False
             if n >= _KERNEL_MIN:
-                expand_rows(lp, tc, size + 1, fc)
+                expand_rows(lp, tc, size + 1)
             else:
                 expand(lp, list(map(rows.__getitem__, tc.tolist())), size + 1)
 

@@ -344,6 +344,33 @@ def test_criterion_12_mining_time_scales_linearly(desk_data):
           + f", R^2={r2:.4f}")
 
 
+def test_rows_counted_scales_linearly(desk_data, desk_mined):
+    """Rows counted over 5k/10k/20k samples fit a line with R^2 >= 0.99.
+
+    Criterion 12's scaling in a count, so no machine load can decide it.
+    Each root counts its item's rows and each mined itemset's node its
+    itemset's, so a run counts the sum of the item frequencies plus the sum
+    of its records' frequencies. The 20k sample is the desk run itself."""
+    db, _, _, _ = desk_data
+    sizes = (5_000, 10_000, 20_000)
+    counted = []
+    for n in sizes:
+        sample = TransactionDatabase(db.transactions[:n])
+        if n == len(db):
+            mined, _ = desk_mined
+        else:
+            mined = nb_dfs(sample, MinerConfig(fit_database(sample)[0], pi=0.95, theta=0.5))
+        counted.append(sample.incidence_total + sum(m.freq for m in mined))
+
+    x, y = np.asarray(sizes, dtype=float), np.asarray(counted, dtype=float)
+    residual = y - np.polyval(np.polyfit(x, y, 1), x)
+    r2 = 1.0 - (residual @ residual) / ((y - y.mean()) @ (y - y.mean()))
+
+    assert r2 >= 0.99
+    print("rows counted: " + " ".join(f"{n}:{c}" for n, c in zip(sizes, counted))
+          + f", R^2={r2:.7f}")
+
+
 # SHA-256 of the itemset file of the desk run (artif-2, 20k transactions,
 # seed 1, pi 0.95, theta 0.5, the model from fit_database): 13,483 itemsets.
 DESK_ITEMSETS_SHA256 = "579972a3b8350b5398b29a262d10b5b5790600896a45b3f199c5a6886d8bd039"

@@ -146,6 +146,24 @@ def test_mine_rejects_bad_pi(small_dataset, tmp_path, capsys):
     assert "pi" in capsys.readouterr().err
 
 
+def test_mine_max_size_writes_the_uncapped_runs_small_itemsets(small_dataset, tmp_path, capsys):
+    basket, _ = small_dataset
+    full, capped = tmp_path / "full.itemsets", tmp_path / "capped.itemsets"
+    assert main(["mine", str(basket), "--fit-inline", "--out", str(full)]) == 0
+    assert main(["mine", str(basket), "--fit-inline", "--max-size", "2",
+                 "--out", str(capped)]) == 0
+    lines = full.read_text(encoding="utf-8").splitlines(keepends=True)
+    pairs = [line for line in lines if len(line.split("\t")[0].split()) == 2]
+    assert pairs and len(pairs) < len(lines)
+    assert capped.read_text(encoding="utf-8") == "".join(pairs)
+    capsys.readouterr()
+    zero = tmp_path / "zero.itemsets"
+    assert main(["mine", str(basket), "--fit-inline", "--max-size", "0",
+                 "--out", str(zero)]) == 1
+    assert "max_size" in capsys.readouterr().err
+    assert not zero.exists()
+
+
 def test_baseline_miners_write_threshold_column(small_dataset, tmp_path):
     basket, _ = small_dataset
     sup, conf = tmp_path / "s.itemsets", tmp_path / "a.itemsets"

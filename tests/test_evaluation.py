@@ -421,6 +421,19 @@ def test_sweep_table_round_trip(tmp_path):
         read_sweep(bad)
 
 
+def test_sweep_table_round_trips_a_non_ascii_label(tmp_path):
+    # the table is UTF-8 like every other format, so any method label is
+    # written and read back as it is
+    db, _, truth = _planted()
+    runs = [("support ≥ σ", sigma, fn) for _, sigma, fn in support_runs([0.2])]
+    entries = sweep(db, truth, runs)
+    path = tmp_path / "sweep.tsv"
+    write_sweep(path, entries)
+    (row,) = read_sweep(path)
+    assert row["method"] == "support ≥ σ"
+    assert row["mined_count"] == entries[0].mined_count
+
+
 def _planted(seed=16):
     """A small random database with NB params plus a loose ground truth.
 
